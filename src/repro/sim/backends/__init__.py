@@ -4,13 +4,16 @@ PR 3 reified the kernel/runtime interface behind `repro.core.ports`;
 this package does the same for the simulation core.  A *backend* is a
 way of executing one logical discrete-event simulation:
 
-* ``global`` — the original single event heap (`repro.sim.engine.Engine`).
-  The reference semantics; everything else is measured against it.
-* ``sharded-serial`` — per-shard event queues advanced by one thread
-  that always fires the globally minimal ``(time, seq)`` event.  By
-  construction this is **bit-identical to `global` for every
-  workload** — it is the determinism oracle the parallel backend is
-  checked against — while already paying per-shard data structures.
+* ``global`` — one tuple-keyed event heap (`repro.sim.engine.Engine`),
+  drained by one hoisted loop for bounded and unbounded runs alike.
+  The reference semantics and the fastest single-shard engine;
+  everything else is measured against it.
+* ``sharded-serial`` — the same engine with one heap per shard,
+  advanced by one thread that always fires the globally minimal
+  ``(time, seq)`` event.  By construction this is **bit-identical to
+  `global` for every workload** — it is the determinism oracle the
+  parallel backend is checked against — while paying a head scan per
+  event at more than one shard.
 * ``sharded-parallel`` — per-shard queues advanced under conservative
   synchronization: all shards whose next event lies inside the window
   ``[min_head, min_head + lookahead)`` drain it independently, then a

@@ -1,20 +1,16 @@
 """Per-shard event queues: the serial oracle and the parallel windows.
 
-Both engines here hold one binary heap **per shard** whose entries are
-plain tuples ``(time, seq, fn, args, handle)`` — comparison is decided
-entirely by ``(time, seq)`` (sequence numbers are unique per heap), so
-heap pushes and pops compare C-level floats and ints instead of calling
-``Event.__lt__``.  ``handle`` is an `Event` when the caller needs a
-cancellation handle and ``None`` on the fire-and-forget paths
-(``defer`` / ``defer_on`` / ``post``), which skip the allocation
-altogether.
+Both engines here hold one binary heap **per shard**, with the entry
+layout every engine shares (`repro.sim.engine._skip_cancelled`): plain
+tuples ``(time, seq, fn, args, handle)`` ordered by ``(time, seq)``,
+where ``handle`` is the cancellation `Event` or ``None``.
 
 `ShardedSerialEngine` — the determinism oracle.  One global sequence
 counter, one clock; every step scans the k heap heads and fires the
 globally minimal ``(time, seq)`` entry.  That is *exactly* the global
-engine's order for every workload, so digests must match bit for bit —
-and the tuple-keyed heaps make it faster than the single global heap
-despite the head scan.
+engine's order for every workload, so digests must match bit for bit.
+At one shard it is the global engine plus a head scan per `step`; its
+hoisted run loop is the global engine's own.
 
 `ShardedParallelEngine` — conservative synchronization
 (Chandy–Misra–Bryant lookahead).  Per-shard clocks and sequence
@@ -43,18 +39,16 @@ from __future__ import annotations
 
 import heapq
 import math
-# dispatch profiling prices callbacks in real host time on purpose;
-# it never feeds back into simulated state (see DispatchProfile)
-from time import perf_counter  # repro: allow[DET001]
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.backends import DEFAULT_LOOKAHEAD_MS
-from repro.sim.engine import Engine, EngineError, Event, _callback_key
-
-
-def _skip_cancelled(h: list, pop=heapq.heappop) -> None:
-    while h and h[0][4] is not None and h[0][4].cancelled:
-        pop(h)
+from repro.sim.engine import (
+    Engine,
+    EngineError,
+    Event,
+    _run_bounds,
+    _skip_cancelled,
+)
 
 
 class ShardedSerialEngine(Engine):
@@ -62,7 +56,9 @@ class ShardedSerialEngine(Engine):
 
     Bit-identical to the ``global`` backend for every workload (the
     registry marks it ``oracle=True``); used to validate the parallel
-    backend and as a faster drop-in for single-host runs.
+    backend.  Scheduling is the base `Engine` surface: `_heap` always
+    points at the dispatching shard's heap, and `_shard_heap` routes
+    the shard-tagged calls.
     """
 
     def __init__(
@@ -75,169 +71,72 @@ class ShardedSerialEngine(Engine):
             raise EngineError(f"shard count must be >= 1, got {shards}")
         super().__init__(profile=profile)
         self.shards = shards
-        self._heaps: List[list] = [[] for _ in range(shards)]
+        self._heaps = [[] for _ in range(shards)]
         #: shard receiving untagged `schedule` calls: the shard whose
         #: event is currently dispatching (0 outside dispatch), so
-        #: callback chains stay on their shard
+        #: callback chains stay on their shard; `_heap` is its heap
         self._cur = 0
+        self._heap = self._heaps[0]
         self._lookahead_auto = lookahead_ms is None
         self.lookahead_ms = (
             DEFAULT_LOOKAHEAD_MS if lookahead_ms is None else lookahead_ms
         )
 
-    # -- scheduling ----------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        if delay < 0:
-            raise EngineError(f"cannot schedule {delay} ms in the past")
-        t = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(t, seq, fn, args)
-        heapq.heappush(self._heaps[self._cur], (t, seq, fn, args, ev))
-        return ev
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        if time < self.now:
-            raise EngineError(
-                f"cannot schedule at t={time} before current t={self.now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(time, seq, fn, args)
-        heapq.heappush(self._heaps[self._cur], (time, seq, fn, args, ev))
-        return ev
-
-    def defer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        if delay < 0:
-            raise EngineError(f"cannot schedule {delay} ms in the past")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(
-            self._heaps[self._cur], (self.now + delay, seq, fn, args, None)
-        )
-
-    def schedule_on(
-        self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> Event:
+    def _shard_heap(self, shard: int) -> list:
         self._check_shard(shard)
-        if delay < 0:
-            raise EngineError(f"cannot schedule {delay} ms in the past")
-        t = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(t, seq, fn, args)
-        heapq.heappush(self._heaps[shard], (t, seq, fn, args, ev))
-        return ev
-
-    def defer_on(
-        self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> None:
-        self._check_shard(shard)
-        if delay < 0:
-            raise EngineError(f"cannot schedule {delay} ms in the past")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(
-            self._heaps[shard], (self.now + delay, seq, fn, args, None)
-        )
-
-    def post(self, shard: int, delay: float, key: str, *args: Any) -> None:
-        self._check_shard(shard)
-        if delay < self.lookahead_ms:
-            raise EngineError(
-                f"cross-shard post delay {delay} ms is below the "
-                f"lookahead bound {self.lookahead_ms} ms"
-            )
-        fn = self._receivers.get(shard)
-        if fn is None:
-            raise EngineError(f"no receiver bound on shard {shard}")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(
-            self._heaps[shard],
-            (self.now + delay, seq, fn, (key, *args), None),
-        )
+        return self._heaps[shard]
 
     # -- execution -----------------------------------------------------
-    def step(self) -> bool:
-        heaps = self._heaps
+    def _min_shard(self) -> int:
+        """The shard whose head is the globally minimal live entry, or
+        -1 when every heap is empty."""
         best = None
         bi = -1
-        for i, h in enumerate(heaps):
+        for i, h in enumerate(self._heaps):
             _skip_cancelled(h)
             if h and (best is None or h[0] < best):
                 best = h[0]
                 bi = i
-        if best is None:
-            return False
-        heapq.heappop(heaps[bi])
-        t, seq, fn, args, ev = best
-        self.now = t
-        self._cur = bi
-        if self.trace_hook is not None:
-            self.trace_hook(self, ev if ev is not None else Event(t, seq, fn, args))
-        self._events_fired += 1
-        if self.profile is None:
-            fn(*args)
-        else:
-            t0 = perf_counter()
-            fn(*args)
-            self.profile.record(_callback_key(fn), perf_counter() - t0)
-        return True
+        return bi
 
-    def _run_fast(self) -> int:
+    def step(self) -> bool:
+        bi = self._min_shard()
+        if bi < 0:
+            return False
+        self._cur = bi
+        self._heap = self._heaps[bi]
+        return super().step()
+
+    def _run_fast(
+        self, until: Optional[float], max_events: Optional[int]
+    ) -> int:
         heaps = self._heaps
-        pop = heapq.heappop
+        if len(heaps) == 1:
+            return super()._run_fast(until, max_events)
+        limit, stop = _run_bounds(until, max_events)
         fired = 0
         self._running = True
         try:
-            if len(heaps) == 1:
-                h = heaps[0]
-                while h:
-                    entry = pop(h)
-                    ev = entry[4]
-                    if ev is not None and ev.cancelled:
-                        continue
-                    self.now = entry[0]
-                    fired += 1
-                    entry[2](*entry[3])
-            else:
-                while True:
-                    best = None
-                    bi = -1
-                    for i, h in enumerate(heaps):
-                        _skip_cancelled(h)
-                        if h and (best is None or h[0] < best):
-                            best = h[0]
-                            bi = i
-                    if best is None:
-                        break
-                    pop(heaps[bi])
-                    self.now = best[0]
-                    self._cur = bi
-                    fired += 1
-                    best[2](*best[3])
+            while fired != stop:
+                bi = self._min_shard()
+                if bi < 0:
+                    break
+                h = heaps[bi]
+                t = h[0][0]
+                if t > limit:
+                    if self.now < limit:
+                        self.now = limit
+                    break
+                _t, _seq, fn, args, _ev = heapq.heappop(h)
+                self.now = t
+                self._cur = bi
+                self._heap = h
+                fired += 1
+                fn(*args)
         finally:
             self._running = False
             self._events_fired += fired
         return fired
-
-    def _peek_time(self) -> Optional[float]:
-        nxt = None
-        for h in self._heaps:
-            _skip_cancelled(h)
-            if h and (nxt is None or h[0][0] < nxt):
-                nxt = h[0][0]
-        return nxt
-
-    @property
-    def pending(self) -> int:
-        return sum(
-            1
-            for h in self._heaps
-            for entry in h
-            if entry[4] is None or not entry[4].cancelled
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -428,10 +327,10 @@ class ShardedParallelEngine(Engine):
             and self.trace_hook is None
             and self.profile is None
         ):
-            return self._run_fast()
+            return self._run_unbounded()
         return self._run_general(until, max_events)
 
-    def _run_fast(self) -> int:
+    def _run_unbounded(self) -> int:
         heaps = self._heaps
         k = len(heaps)
         nows = self._nows
@@ -456,11 +355,7 @@ class ShardedParallelEngine(Engine):
             while True:
                 if self._outbox:
                     self._flush_outbox()
-                nxt = None
-                for h in heaps:
-                    _skip_cancelled(h)
-                    if h and (nxt is None or h[0][0] < nxt):
-                        nxt = h[0][0]
+                nxt = self._peek_time()
                 if nxt is None:
                     break
                 horizon = nxt + la
@@ -503,11 +398,7 @@ class ShardedParallelEngine(Engine):
             while not stop:
                 if self._outbox:
                     self._flush_outbox()
-                nxt = None
-                for h in heaps:
-                    _skip_cancelled(h)
-                    if h and (nxt is None or h[0][0] < nxt):
-                        nxt = h[0][0]
+                nxt = self._peek_time()
                 if nxt is None:
                     break
                 if until is not None and nxt > until:
@@ -530,23 +421,8 @@ class ShardedParallelEngine(Engine):
                         ev = head[4]
                         if ev is not None and ev.cancelled:
                             continue
-                        nows[si] = t
-                        if self.trace_hook is not None:
-                            self.trace_hook(
-                                self,
-                                ev if ev is not None
-                                else Event(t, head[1], head[2], head[3]),
-                            )
                         fired += 1
-                        self._events_fired += 1
-                        if self.profile is None:
-                            head[2](*head[3])
-                        else:
-                            t0 = perf_counter()
-                            head[2](*head[3])
-                            self.profile.record(
-                                _callback_key(head[2]), perf_counter() - t0
-                            )
+                        self._fire(head)
                         if max_events is not None and fired >= max_events:
                             stop = True
                             break
@@ -664,23 +540,6 @@ class ShardedParallelEngine(Engine):
                 for s in sorted(self._worker_payloads)
             ]
         return super().harvest()
-
-    def _peek_time(self) -> Optional[float]:
-        nxt = None
-        for h in self._heaps:
-            _skip_cancelled(h)
-            if h and (nxt is None or h[0][0] < nxt):
-                nxt = h[0][0]
-        return nxt
-
-    @property
-    def pending(self) -> int:
-        return sum(
-            1
-            for h in self._heaps
-            for entry in h
-            if entry[4] is None or not entry[4].cancelled
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

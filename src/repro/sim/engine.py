@@ -17,7 +17,8 @@ units of the paper's tables (57 ms, 2.4 ms, ...).
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 # dispatch profiling prices callbacks in real host time on purpose;
 # it never feeds back into simulated state (see DispatchProfile)
 from time import perf_counter  # repro: allow[DET001]
@@ -83,11 +84,14 @@ class DispatchProfile:
 
 
 class Event:
-    """A scheduled callback; returned by `Engine.schedule` so it can be
-    cancelled before it fires.
+    """The cancellation handle of a scheduled callback, returned by
+    `Engine.schedule` / `schedule_at` / `schedule_on` / `call_soon`.
 
-    Cancellation is O(1): the heap entry is tombstoned rather than
-    removed, and skipped when popped.
+    The heap itself holds plain tuple entries (see `_skip_cancelled`);
+    an `Event` rides in an entry's last slot only so that the caller can
+    cancel it.  Cancellation is O(1): the entry is tombstoned rather
+    than removed, and skipped when popped.  ``trace_hook`` also receives
+    one per fired event (built on the fly for handle-less entries).
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled")
@@ -103,12 +107,33 @@ class Event:
         """Prevent the event from firing.  Idempotent."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} seq={self.seq} {state} {self.fn!r}>"
+
+
+def _skip_cancelled(h: list, pop=heappop) -> None:
+    """Pop tombstoned entries off the head of heap ``h``.
+
+    Every engine's heap holds entries ``(time, seq, fn, args, handle)``.
+    Sequence numbers are unique per heap, so heap order is decided by
+    ``(time, seq)`` alone and comparisons never reach ``fn``.
+    ``handle`` is the entry's `Event` when the caller asked for a
+    cancellation handle and ``None`` on the fire-and-forget paths
+    (``defer`` / ``defer_on`` / ``post``), which allocate none.
+    """
+    while h and h[0][4] is not None and h[0][4].cancelled:
+        pop(h)
+
+
+def _run_bounds(until: Optional[float], max_events: Optional[int]):
+    """``(limit, stop)`` for a hoisted run loop: fire while the entry
+    time is ``<= limit`` and the fired count is ``!= stop`` (``-1``, never
+    reached, when there is no ``max_events``)."""
+    return (
+        math.inf if until is None else until,
+        -1 if max_events is None else max(max_events, 0),
+    )
 
 
 class Engine:
@@ -145,7 +170,11 @@ class Engine:
 
     def __init__(self, profile: bool = False) -> None:
         self.now: float = 0.0
-        self._heap: list[Event] = []
+        #: the heap untagged `schedule`/`defer` calls push onto
+        self._heap: list = []
+        #: every heap the engine drains: here just `_heap`; one per
+        #: shard on the sharded backends
+        self._heaps: List[list] = [self._heap]
         self._seq: int = 0
         self._events_fired: int = 0
         self._running: bool = False
@@ -163,20 +192,33 @@ class Engine:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
+    def _push(
+        self, heap: list, time: float, fn: Callable[..., Any], args: tuple,
+        cancellable: bool,
+    ) -> Optional[Event]:
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(time, seq, fn, args) if cancellable else None
+        heappush(heap, (time, seq, fn, args, ev))
+        return ev
+
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` ms from now.
+        """Schedule ``fn(*args)`` to run ``delay`` ms from now; returns
+        the `Event` that cancels it.
 
         ``delay`` must be >= 0; a zero delay runs after all events already
         scheduled for the current instant (FIFO at equal timestamps).
+        Callers that drop the handle should use `defer`.
         """
         if delay < 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
-        # Inlined schedule_at: delay >= 0 already guarantees the
-        # absolute-time bound, and this is the hottest call in the
-        # simulator (every message hop schedules at least one event).
-        ev = Event(self.now + delay, self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        # `_push` inlined: every cancellable timer (SODA hints, retry
+        # timers) arms through here
+        t = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(t, seq, fn, args)
+        heappush(self._heap, (t, seq, fn, args, ev))
         return ev
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -185,10 +227,7 @@ class Engine:
             raise EngineError(
                 f"cannot schedule at t={time} before current t={self.now}"
             )
-        ev = Event(time, self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return ev
+        return self._push(self._heap, time, fn, args, True)
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at the current instant (after pending
@@ -197,10 +236,14 @@ class Engine:
 
     def defer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget `schedule`: no cancellation handle is
-        returned.  The sharded backends skip allocating one entirely;
-        here it only drops the return value, but workloads that use
-        ``defer`` run unchanged — and faster — on every backend."""
-        self.schedule(delay, fn, *args)
+        returned, and none is allocated."""
+        if delay < 0:
+            raise EngineError(f"cannot schedule {delay} ms in the past")
+        # `_push` inlined: this is the hottest call in the simulator
+        # (every task resume and message hop defers at least once)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self.now + delay, seq, fn, args, None))
 
     # ------------------------------------------------------------------
     # shard-tagged scheduling
@@ -216,20 +259,28 @@ class Engine:
                 f"shard {shard} out of range for {self.shards}-shard engine"
             )
 
+    def _shard_heap(self, shard: int) -> list:
+        """The heap holding ``shard``'s events (here: the only heap)."""
+        self._check_shard(shard)
+        return self._heap
+
     def schedule_on(
         self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
     ) -> Event:
-        """`schedule` onto an explicit shard's queue (here: the only
-        queue)."""
-        self._check_shard(shard)
-        return self.schedule(delay, fn, *args)
+        """`schedule` onto an explicit shard's queue."""
+        heap = self._shard_heap(shard)
+        if delay < 0:
+            raise EngineError(f"cannot schedule {delay} ms in the past")
+        return self._push(heap, self.now + delay, fn, args, True)
 
     def defer_on(
         self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
     ) -> None:
         """`defer` onto an explicit shard's queue."""
-        self._check_shard(shard)
-        self.schedule(delay, fn, *args)
+        heap = self._shard_heap(shard)
+        if delay < 0:
+            raise EngineError(f"cannot schedule {delay} ms in the past")
+        self._push(heap, self.now + delay, fn, args, False)
 
     def shard_now(self, shard: int) -> float:
         """The shard-local clock — on the global engine, `now`."""
@@ -249,10 +300,10 @@ class Engine:
 
         ``delay`` must be at least `lookahead_ms` — on the sharded
         backends that bound is what makes conservative windows safe;
-        the global engine enforces the same contract (trivially, at
-        0.0) so a workload cannot pass here and fail there.
+        the global engine enforces the same contract so a workload
+        cannot pass here and fail there.
         """
-        self._check_shard(shard)
+        heap = self._shard_heap(shard)
         if delay < self.lookahead_ms:
             raise EngineError(
                 f"cross-shard post delay {delay} ms is below the "
@@ -261,7 +312,7 @@ class Engine:
         fn = self._receivers.get(shard)
         if fn is None:
             raise EngineError(f"no receiver bound on shard {shard}")
-        self.schedule(delay, fn, key, *args)
+        self._push(heap, self.now + delay, fn, (key, *args), False)
 
     def note_link_floor(self, floor_ms: float) -> None:
         """A `repro.sim.network` model reports its guaranteed minimum
@@ -292,28 +343,34 @@ class Engine:
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Fire the single next non-cancelled event.
+        """Fire the single next non-cancelled event of `_heap`.
 
         Returns False when the heap is exhausted.
         """
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            if ev.time < self.now:  # pragma: no cover - defensive
-                raise EngineError("event heap corrupted: time went backwards")
-            self.now = ev.time
-            if self.trace_hook is not None:
-                self.trace_hook(self, ev)
-            self._events_fired += 1
-            if self.profile is None:
-                ev.fn(*ev.args)
-            else:
-                t0 = perf_counter()
-                ev.fn(*ev.args)
-                self.profile.record(_callback_key(ev.fn), perf_counter() - t0)
-            return True
-        return False
+        heap = self._heap
+        _skip_cancelled(heap)
+        if not heap:
+            return False
+        entry = heappop(heap)
+        if entry[0] < self.now:  # pragma: no cover - defensive
+            raise EngineError("event heap corrupted: time went backwards")
+        self._fire(entry)
+        return True
+
+    def _fire(self, entry: tuple) -> None:
+        """Dispatch one popped live entry through ``trace_hook`` and
+        ``profile`` — the reference dispatch `step` is built on."""
+        t, seq, fn, args, ev = entry
+        self.now = t
+        if self.trace_hook is not None:
+            self.trace_hook(self, ev if ev is not None else Event(t, seq, fn, args))
+        self._events_fired += 1
+        if self.profile is None:
+            fn(*args)
+        else:
+            t0 = perf_counter()
+            fn(*args)
+            self.profile.record(_callback_key(fn), perf_counter() - t0)
 
     def run(
         self,
@@ -330,22 +387,57 @@ class Engine:
         empties, the clock stays at the last event fired (so it reads as
         the workload's true duration).
         """
-        if (
-            until is None
-            and max_events is None
-            and self.trace_hook is None
-            and self.profile is None
-        ):
-            return self._run_fast()
+        if self.trace_hook is None and self.profile is None:
+            return self._run_fast(until, max_events)
+        return self._run_stepped(until, max_events)
+
+    def _run_fast(
+        self, until: Optional[float], max_events: Optional[int]
+    ) -> int:
+        """`run` with the per-event bookkeeping hoisted out of the loop:
+        no `_peek_time`/`step` calls, locals for the heap and `heappop`,
+        and ``until``/``max_events`` folded into one comparison each.
+        Semantics are exactly those of `_run_stepped`.
+        """
+        heap = self._heap
+        pop = heappop
+        limit, stop = _run_bounds(until, max_events)
         fired = 0
         self._running = True
         try:
-            # driven through `_peek_time`/`step` (not `self._heap`
-            # directly) so backends with their own queue layout — the
-            # sharded-serial oracle — inherit this loop unchanged
-            while True:
-                if max_events is not None and fired >= max_events:
+            while heap and fired != stop:
+                entry = pop(heap)
+                t, _seq, fn, args, ev = entry
+                if ev is not None and ev.cancelled:
+                    continue
+                if t > limit:
+                    # a pending event lies beyond `until`: leave it
+                    # queued and advance the clock to the bound
+                    heappush(heap, entry)
+                    if self.now < limit:
+                        self.now = limit
                     break
+                self.now = t
+                # count first: an event counts even when its callback
+                # raises, and the finally below flushes
+                fired += 1
+                fn(*args)
+        finally:
+            self._running = False
+            self._events_fired += fired
+        return fired
+
+    def _run_stepped(
+        self, until: Optional[float], max_events: Optional[int]
+    ) -> int:
+        """The reference loop, one `step` at a time.  Taken only with a
+        ``trace_hook`` or ``profile`` installed, which `step` serves;
+        backends with their own queue layout inherit it through their
+        `_peek_time`/`step`."""
+        fired = 0
+        self._running = True
+        try:
+            while max_events is None or fired < max_events:
                 nxt = self._peek_time()
                 if nxt is None:
                     break
@@ -359,38 +451,14 @@ class Engine:
             self._running = False
         return fired
 
-    def _run_fast(self) -> int:
-        """Drain the heap with no stop condition, tracing or profiling.
-
-        This is `run()` with the per-event bookkeeping hoisted out of
-        the loop: no `_peek_time`, no per-event `until`/`max_events`
-        tests, locals for the heap and `heappop`.  Benchmarked in S1
-        (docs/PERFORMANCE.md); semantics are identical to the general
-        loop for this argument combination.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        fired = 0
-        self._running = True
-        try:
-            while heap:
-                ev = pop(heap)
-                if ev.cancelled:
-                    continue
-                self.now = ev.time
-                # count first: `step` counts an event even when its
-                # callback raises, and the finally below flushes
-                fired += 1
-                ev.fn(*ev.args)
-        finally:
-            self._running = False
-            self._events_fired += fired
-        return fired
-
     def _peek_time(self) -> Optional[float]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        """The time of the earliest live entry over every heap."""
+        nxt = None
+        for h in self._heaps:
+            _skip_cancelled(h)
+            if h and (nxt is None or h[0][0] < nxt):
+                nxt = h[0][0]
+        return nxt
 
     # ------------------------------------------------------------------
     # introspection
@@ -398,7 +466,12 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of non-cancelled events still scheduled."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(
+            1
+            for h in self._heaps
+            for entry in h
+            if entry[4] is None or not entry[4].cancelled
+        )
 
     @property
     def events_fired(self) -> int:

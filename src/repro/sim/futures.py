@@ -33,7 +33,7 @@ class Future:
 
     Callbacks run synchronously inside ``resolve``/``fail`` — callers that
     need "run later this instant" ordering should resolve via
-    ``engine.call_soon``.
+    ``engine.defer(0.0, ...)``.
     """
 
     __slots__ = ("engine", "state", "value", "error", "_callbacks", "label")
@@ -71,12 +71,14 @@ class Future:
         self.error = error
         self._fire()
 
-    def resolve_later(self, delay: float, value: Any = None):
-        """Schedule resolution ``delay`` ms from now; returns the Event."""
-        return self.engine.schedule(delay, self._safe_resolve, value)
+    def resolve_later(self, delay: float, value: Any = None) -> None:
+        """Schedule resolution ``delay`` ms from now (fire-and-forget:
+        a future that settles first makes it a no-op)."""
+        self.engine.defer(delay, self._safe_resolve, value)
 
-    def fail_later(self, delay: float, error: BaseException):
-        return self.engine.schedule(delay, self._safe_fail, error)
+    def fail_later(self, delay: float, error: BaseException) -> None:
+        """Schedule failure ``delay`` ms from now, like `resolve_later`."""
+        self.engine.defer(delay, self._safe_fail, error)
 
     def _safe_resolve(self, value: Any) -> None:
         if self.state is FutureState.PENDING:

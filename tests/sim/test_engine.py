@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.backends import make_engine
 from repro.sim.engine import Engine, EngineError
 
 
@@ -208,32 +209,140 @@ def test_cluster_threads_profile_flag_through():
 
 
 # ----------------------------------------------------------------------
-# the no-argument fast path (PR 6; docs/PERFORMANCE.md)
+# the hoisted run loop (docs/PERFORMANCE.md) against the step() reference
 # ----------------------------------------------------------------------
-def test_fast_path_matches_general_loop_exactly():
-    """`run()` with no stop condition takes a hoisted loop; it must be
-    observationally identical to `run(max_events=huge)` (which takes
-    the general loop): same firing order, clock, events_fired."""
+def _until_between_events(eng, log):
+    for i, t in enumerate((1.0, 2.0, 3.5, 5.0)):
+        eng.schedule_on(i % eng.shards, t, log.append, t)
+    return {"until": 3.0}
 
-    def drive(run_kwargs):
-        eng = Engine()
-        fired = []
 
-        def tick(label, depth):
-            fired.append((eng.now, label))
-            if depth:
-                eng.schedule(1.5, tick, label, depth - 1)
+def _until_after_only_cancelled(eng, log):
+    for i, t in enumerate((1.0, 2.0)):
+        eng.schedule_on(i % eng.shards, t, log.append, t).cancel()
+    eng.defer_on(2 % eng.shards, 5.0, log.append, 5.0)
+    return {"until": 3.0}
 
-        a = eng.schedule(2.0, tick, "a", 3)
-        eng.schedule(1.0, tick, "b", 2)
-        eng.schedule(1.0, tick, "c", 0)
-        a.cancel()
-        n = eng.run(**run_kwargs)
-        return fired, eng.now, eng.events_fired, n
 
-    fast = drive({})
-    general = drive({"max_events": 10_000})
-    assert fast == general
+def _until_nothing_pending(eng, log):
+    # the only entry beyond `until` is cancelled: nothing is pending,
+    # so the clock stays put
+    eng.schedule_on(0, 1.0, log.append, 1.0)
+    eng.schedule_on(1 % eng.shards, 5.0, log.append, 5.0).cancel()
+    return {"until": 3.0}
+
+
+def _max_events(eng, log):
+    def tick(label, depth):
+        log.append((eng.now, label))
+        if depth:
+            eng.schedule(1.5, tick, label, depth - 1)
+
+    eng.schedule_on(0, 2.0, tick, "a", 3).cancel()
+    eng.defer_on(1 % eng.shards, 1.0, tick, "b", 2)
+    eng.schedule_on(2 % eng.shards, 1.0, tick, "c", 0)
+    return {"max_events": 3}
+
+
+def _max_events_before_until(eng, log):
+    # max_events stops the run first: the clock must not jump to until
+    for i, t in enumerate((1.0, 2.0, 20.0)):
+        eng.defer_on(i % eng.shards, t, log.append, t)
+    return {"until": 10.0, "max_events": 2}
+
+
+def _same_instant_fifo(eng, log):
+    def first():
+        log.append("first")
+        eng.defer(0.0, log.append, "fourth")
+        eng.schedule(0.0, log.append, "fifth")
+
+    eng.schedule(1.0, first)
+    eng.defer(1.0, log.append, "second")
+    eng.schedule_on(eng.shards - 1, 1.0, log.append, "third")
+    eng.defer(1.5, log.append, "sixth")
+    return {"until": 1.0}
+
+
+def _callback_raises(eng, log):
+    def boom():
+        raise RuntimeError("boom")
+
+    eng.schedule_on(0, 1.0, log.append, 1.0).cancel()
+    eng.defer_on(1 % eng.shards, 2.0, log.append, 2.0)
+    eng.schedule_on(2 % eng.shards, 3.0, boom)
+    eng.defer(4.0, log.append, 4.0)
+    return {"until": 10.0}
+
+
+#: case -> (what the first bounded run returns, `now` after it)
+_BOUNDED_CASES = {
+    "until-between-events": (_until_between_events, 2, 3.0),
+    "until-after-only-cancelled": (_until_after_only_cancelled, 0, 3.0),
+    "until-nothing-pending": (_until_nothing_pending, 1, 1.0),
+    "max-events": (_max_events, 3, 2.5),
+    "max-events-before-until": (_max_events_before_until, 2, 2.0),
+    "same-instant-fifo": (_same_instant_fifo, 5, 1.0),
+    "callback-raises": (_callback_raises, "RuntimeError('boom')", 3.0),
+}
+
+
+def _drive(backend, shards, case, reference):
+    eng = make_engine(backend, shards=shards)
+    if reference:
+        # any trace hook routes run() through the step() loop
+        eng.trace_hook = lambda e, ev: None
+    log = []
+    run_kwargs = case(eng, log)
+    try:
+        first = eng.run(**run_kwargs)
+    except RuntimeError as exc:
+        first = repr(exc)
+    mid = (list(log), first, eng.now, eng.events_fired, eng.pending)
+    rest = eng.run()
+    return mid, (list(log), rest, eng.now, eng.events_fired, eng.pending)
+
+
+@pytest.mark.parametrize("backend,shards", [
+    ("global", 1), ("sharded-serial", 1), ("sharded-serial", 3),
+])
+@pytest.mark.parametrize("case", sorted(_BOUNDED_CASES))
+def test_fast_path_matches_general_loop_exactly(backend, shards, case):
+    """`run()` takes a hoisted loop unless a trace hook or profile is
+    installed; it must be observationally identical to the `step()`
+    reference loop: same firing order, return value, clock,
+    events_fired and pending count, mid-run and after draining."""
+    build, first, now = _BOUNDED_CASES[case]
+    fast = _drive(backend, shards, build, reference=False)
+    assert fast == _drive(backend, shards, build, reference=True)
+    _log, got_first, got_now, _fired, _pending = fast[0]
+    assert (got_first, got_now) == (first, now)
+    if case == "same-instant-fifo":
+        assert fast[0][0] == ["first", "second", "third", "fourth", "fifth"]
+
+
+@pytest.mark.parametrize("backend", ["global", "sharded-serial"])
+def test_trace_hook_sees_events_for_handle_less_entries(backend):
+    """`defer`/`defer_on`/`post` allocate no `Event`; the trace hook
+    still receives one, built from the heap entry."""
+    eng = make_engine(backend, shards=2, lookahead_ms=0.1)
+    seen = []
+    eng.trace_hook = lambda e, ev: seen.append(
+        (ev.time, ev.seq, ev.fn, ev.args, ev.cancelled))
+    got = []
+    eng.bind_receiver(1, lambda key, x: got.append((key, x)))
+    eng.defer(1.0, got.append, "d")
+    eng.defer_on(1, 2.0, got.append, "don")
+    eng.post(1, 3.0, "k", 7)
+    ev = eng.schedule(4.0, got.append, "s")
+    assert eng.run() == 4
+    assert got == ["d", "don", ("k", 7), "s"]
+    assert [(t, seq, args) for t, seq, _fn, args, _c in seen] == [
+        (1.0, 0, ("d",)), (2.0, 1, ("don",)), (3.0, 2, ("k", 7)),
+        (4.0, 3, ("s",)),
+    ]
+    assert not any(c for *_rest, c in seen)
+    assert ev.time == 4.0 and ev.seq == 3
 
 
 def test_fast_path_counts_events_fired_once():
