@@ -6,13 +6,12 @@ repro bench` E16 entry gates on — `repro.obs.bench.bench_e16` — and
 renders its contracts as a table:
 
   - **throughput**: the 100k-client scale workload on every backend
-    in `repro.sim.backends` (``global``, ``sharded-serial``,
-    ``sharded-parallel``), events/sec by shard count; the parallel
-    backend at 8 shards on forked ``workers=2`` must reach 1.0x the
-    fastest single-shard engine (the faster of ``global`` and
-    ``sharded-serial`` at 1 shard).
-  - **determinism**: same seed => same digest — ``global`` vs both
-    sharded backends at the same shard count, the forked run against
+    in `repro.sim.backends` (``global``, ``sharded-parallel``),
+    events/sec by shard count; the parallel backend at 8 shards on
+    forked ``workers=2`` must reach 1.0x the fastest single-shard
+    engine, ``global`` at 1 shard.
+  - **determinism**: same seed => same digest — ``global`` vs
+    ``sharded-parallel`` at the same shard count, the forked run against
     the in-process one, and the parallel backend against itself
     across repeats at 8 shards.  A digest mismatch raises inside
     `bench_e16` before any rate is reported.
@@ -49,8 +48,6 @@ def test_e16_sharded_engine_scaling(benchmark, save_table):
     )
     t.add("global", 1, result["scale_global_s1_events_per_sec"])
     t.add("global", 8, result["scale_global_s8_events_per_sec"])
-    t.add("sharded-serial", 1, result["scale_serial_s1_events_per_sec"])
-    t.add("sharded-serial", 8, result["scale_serial_s8_events_per_sec"])
     for shards in (1, 2, 4, 8):
         t.add("sharded-parallel", shards,
               result[f"scale_parallel_s{shards}_events_per_sec"])

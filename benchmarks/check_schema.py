@@ -111,8 +111,8 @@ def check_bench_doc(path: str, golden: dict, errors: List[str]) -> None:
 def check_e16_contract(name: str, doc: dict, errors: List[str]) -> None:
     """E16 carries machine-checked claims, not just rates: a committed
     baseline whose determinism flags are not exactly 1.0, or whose
-    full-mode 8-shard speedup (forked ``workers=2`` over the fastest
-    single-shard engine) is below the gated 1.0x, is invalid even if
+    full-mode 8-shard speedup (forked ``workers=2`` over ``global`` at
+    1 shard) is below the gated 1.0x, is invalid even if
     its key structure matches the golden file."""
     e16 = doc.get("benches", {}).get("E16")
     if not e16:

@@ -15,8 +15,8 @@ tolerances or half-open windows.
 SIM002 guards the `SimBackend` port: engines are obtained through the
 `repro.sim.backends` registry (``make_engine`` / ``sim_backend=``),
 never constructed directly.  A direct ``Engine(...)`` pins the code to
-the single global heap, so it silently cannot run on the sharded
-backends — the exact coupling the registry exists to prevent.
+the single global heap, so it silently cannot run on the parallel
+backend — the exact coupling the registry exists to prevent.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def sim001(module: ModuleInfo) -> Iterator[Violation]:
 
 #: engine classes only the backend registry may construct
 ENGINE_CLASS_NAMES = frozenset(
-    {"Engine", "ShardedSerialEngine", "ShardedParallelEngine"}
+    {"Engine", "ShardedParallelEngine"}
 )
 
 

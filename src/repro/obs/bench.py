@@ -19,7 +19,7 @@ authoritative assertion-carrying harness remains
 ``pytest benchmarks/ --benchmark-only``; this runner trades
 its tables for a stable schema::
 
-    {"schema": "repro.bench", "schema_version": 8,
+    {"schema": "repro.bench", "schema_version": 9,
      "seed": 0, "git_rev": "<rev|unknown>",
      "timestamp": "<UTC ISO-8601>", "quick": false,
      "benches": {bench_id: {metric: value}}}
@@ -38,7 +38,9 @@ metric families (its keys are ``None`` on hosts that forbid sockets,
 so the document schema never varies); 8 = E16 gained
 ``scale_parallel_s8_w2_events_per_sec`` (forked ``workers=2``) and
 ``scale_parallel_s8_speedup`` was re-founded on it, over the fastest
-single-shard engine.
+single-shard engine; 9 = the ``sharded-serial`` backend was removed
+with its ``scale_serial_s1/s8_events_per_sec`` keys, and the speedup's
+denominator is ``global`` at 1 shard.
 
 Simulated quantities are deterministic for a seed; the ``s1.*``,
 ``obs_*_events_per_sec``, ``scale_*_events_per_sec`` and
@@ -61,7 +63,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.obs.jsonl import json_safe
 
-BENCH_SCHEMA_VERSION = 8
+BENCH_SCHEMA_VERSION = 9
 DEFAULT_BENCH_FILENAME = "BENCH_PR9.json"
 
 E4_SWEEP = (0, 256, 512, 1024, 1536, 2048, 3072, 4096)
@@ -560,10 +562,9 @@ def bench_e16(
       baseline violating the determinism contract cannot be written.
     * **Scaling** (full mode): ``sharded-parallel`` at 8 shards on
       forked ``workers=2`` must reach **1.0×** the events/sec of the
-      fastest single-shard engine (the faster of ``global`` and
-      ``sharded-serial`` at 1 shard) on the identical workload — real
-      parallelism must at least pay for its window barriers against
-      the best serial baseline.  On hosts with ``os.cpu_count() < 2``
+      fastest single-shard engine (``global`` at 1 shard) on the
+      identical workload — real parallelism must at least pay for its
+      window barriers against the best serial baseline.  On hosts with ``os.cpu_count() < 2``
       the forked run is skipped, its rate and the speedup stay
       ``None`` and the reason goes to stderr.  The forked run's digest
       must equal the in-process 8-shard digest.
@@ -588,7 +589,6 @@ def bench_e16(
     requests = 2 if quick else 4
     short_names = {
         "global": "global",
-        "sharded-serial": "serial",
         "sharded-parallel": "parallel",
     }
 
@@ -597,8 +597,6 @@ def bench_e16(
         "scale_events_total": None,
         "scale_global_s1_events_per_sec": None,
         "scale_global_s8_events_per_sec": None,
-        "scale_serial_s1_events_per_sec": None,
-        "scale_serial_s8_events_per_sec": None,
         "scale_parallel_s1_events_per_sec": None,
         "scale_parallel_s2_events_per_sec": None,
         "scale_parallel_s4_events_per_sec": None,
@@ -681,18 +679,13 @@ def bench_e16(
         out["scale_rtt_p99_ms"] = rtt.percentile(99)
 
     par = out["scale_parallel_s8_w2_events_per_sec"]
-    serial_rates = [
-        rate for rate in (out["scale_global_s1_events_per_sec"],
-                          out["scale_serial_s1_events_per_sec"])
-        if rate
-    ]
-    if par and serial_rates:
-        base_rate = max(serial_rates)
+    base_rate = out["scale_global_s1_events_per_sec"]
+    if par and base_rate:
         out["scale_parallel_s8_speedup"] = par / base_rate
         if not quick and out["scale_parallel_s8_speedup"] < 1.0:
             raise AssertionError(
                 f"E16: sharded-parallel at 8 shards on workers=2 must "
-                f"reach 1.0x the fastest single-shard engine on the "
+                f"reach 1.0x global at 1 shard on the "
                 f"scale workload; measured "
                 f"{out['scale_parallel_s8_speedup']:.2f}x "
                 f"({par:,.0f} vs {base_rate:,.0f} events/s)"

@@ -6,23 +6,21 @@ way of executing one logical discrete-event simulation:
 
 * ``global`` — one tuple-keyed event heap (`repro.sim.engine.Engine`),
   drained by one hoisted loop for bounded and unbounded runs alike.
-  The reference semantics and the fastest single-shard engine;
-  everything else is measured against it.
-* ``sharded-serial`` — the same engine with one heap per shard,
-  advanced by one thread that always fires the globally minimal
-  ``(time, seq)`` event.  By construction this is **bit-identical to
-  `global` for every workload** — it is the determinism oracle the
-  parallel backend is checked against — while paying a head scan per
-  event at more than one shard.
-* ``sharded-parallel`` — per-shard queues advanced under conservative
-  synchronization: all shards whose next event lies inside the window
-  ``[min_head, min_head + lookahead)`` drain it independently, then a
-  barrier re-computes the window.  Cross-shard messages (`Engine.post`)
-  must travel at least ``lookahead_ms`` — the per-link latency lower
-  bound exposed by `repro.sim.network` models as ``min_latency_ms`` —
-  which is exactly what makes the windows safe (Chandy–Misra–Bryant
-  conservative lookahead).  With ``workers > 1`` the shards execute in
-  forked OS processes exchanging messages at the window barriers.
+  Shard-tagged calls are accepted at any shard count and run in exact
+  global ``(time, seq)`` order, so it is both the fastest single-shard
+  engine and the determinism oracle everything else is checked
+  against.
+* ``sharded-parallel`` — the same engine with one heap and clock per
+  shard, advanced under conservative synchronization: all shards whose
+  next event lies inside the window ``[min_head, min_head +
+  lookahead)`` drain it independently, then a barrier re-computes the
+  window.  Cross-shard messages (`Engine.post`) must travel at least
+  ``lookahead_ms`` — the per-link latency lower bound exposed by
+  `repro.sim.network` models as ``min_latency_ms`` — which is exactly
+  what makes the windows safe (Chandy–Misra–Bryant conservative
+  lookahead).  With ``workers > 1`` the shards execute in forked OS
+  processes exchanging messages at the window barriers.  At one shard
+  it *is* the global engine: same scheduling surface, same loops.
 
 Workloads never construct engines; they call `make_engine` (or pass
 ``sim_backend=`` to `repro.core.api.make_cluster`) and speak the
@@ -34,7 +32,6 @@ so that every workload stays runnable on every backend.
 Determinism contract (machine-checked by `tests/sim/test_backends.py`
 and the E16 bench):
 
-* ``sharded-serial`` is bit-identical to ``global`` at any shard count;
 * ``sharded-parallel`` is bit-identical to ``global`` at ``shards=1``,
   and bit-identical across repeats (and across ``workers`` values) at
   any shard count;
@@ -136,34 +133,12 @@ def make_engine(
 
 
 # ----------------------------------------------------------------------
-# the three shipped backends
+# the two shipped backends
 # ----------------------------------------------------------------------
 def _global_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
-    from repro.sim.engine import Engine, EngineError
+    from repro.sim.engine import Engine
 
-    if shards < 1:
-        raise EngineError(f"shard count must be >= 1, got {shards}")
-    eng = Engine(profile=profile)
-    # logical shards on one heap: shard-tagged calls are accepted and
-    # executed in exact global (time, seq) order — the reference
-    # semantics the sharded backends are digest-checked against
-    eng.shards = shards
-    if lookahead_ms is not None:
-        eng.lookahead_ms = lookahead_ms
-        eng._lookahead_auto = False
-    else:
-        # same starting lookahead as the sharded backends, so a post()
-        # that passes here cannot fail there
-        eng.lookahead_ms = DEFAULT_LOOKAHEAD_MS
-    return eng
-
-
-def _serial_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
-    from repro.sim.backends.sharded import ShardedSerialEngine
-
-    return ShardedSerialEngine(
-        shards=shards, lookahead_ms=lookahead_ms, profile=profile
-    )
+    return Engine(shards=shards, lookahead_ms=lookahead_ms, profile=profile)
 
 
 def _parallel_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
@@ -182,16 +157,6 @@ register_sim_backend(SimBackendProfile(
     oracle=True,
     factory=_global_factory,
     summary="the reference engine: one heap, exact (time, seq) order",
-))
-
-register_sim_backend(SimBackendProfile(
-    name="sharded-serial",
-    title="per-shard queues, serial global-order merge",
-    parallel=False,
-    oracle=True,
-    factory=_serial_factory,
-    summary="k-way min-head merge over per-shard queues; the "
-            "determinism oracle, bit-identical to global",
 ))
 
 register_sim_backend(SimBackendProfile(

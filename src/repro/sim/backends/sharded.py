@@ -1,27 +1,30 @@
-"""Per-shard event queues: the serial oracle and the parallel windows.
+"""Per-shard event queues advanced in conservative lookahead windows.
 
-Both engines here hold one binary heap **per shard**, with the entry
-layout every engine shares (`repro.sim.engine._skip_cancelled`): plain
-tuples ``(time, seq, fn, args, handle)`` ordered by ``(time, seq)``,
-where ``handle`` is the cancellation `Event` or ``None``.
+`ShardedParallelEngine` is the ``global`` engine (`repro.sim.engine.Engine`)
+with one heap and one clock per shard, and it inherits that engine's
+whole scheduling surface.  The dispatching shard's heap and clock are
+the plain `_heap` and `now`, swapped in when the shard starts
+dispatching, so untagged `schedule`/`defer` calls land on it.  The
+shard-tagged calls resolve their target through the one `_shard` hook,
+which this engine overrides to reach the other shards' queues (before a
+run only).  One sequence counter numbers every push, so each heap sees
+its entries in the same relative order as under ``global``; entries
+keep the shared layout ``(time, seq, fn, args, handle)``
+(`repro.sim.engine._skip_cancelled`).
 
-`ShardedSerialEngine` — the determinism oracle.  One global sequence
-counter, one clock; every step scans the k heap heads and fires the
-globally minimal ``(time, seq)`` entry.  That is *exactly* the global
-engine's order for every workload, so digests must match bit for bit.
-At one shard it is the global engine plus a head scan per `step`; its
-hoisted run loop is the global engine's own.
+Conservative synchronization (Chandy–Misra–Bryant lookahead): each
+round computes ``horizon = min(head times) + lookahead_ms`` and lets
+every shard drain its own heap, in exact local ``(time, seq)`` order,
+up to (but excluding) the horizon.  Safety: a cross-shard `post` sent
+at time *t* arrives no earlier than ``t + lookahead_ms >= horizon``,
+i.e. always outside the current window, so no shard ever receives work
+in its past.  Cross-shard posts buffer in an outbox flushed at the
+window barrier, keeping push order identical whether shards run
+in-process or in forked workers.
 
-`ShardedParallelEngine` — conservative synchronization
-(Chandy–Misra–Bryant lookahead).  Per-shard clocks and sequence
-counters.  Each round computes ``horizon = min(head times) +
-lookahead_ms`` and lets every shard drain its own heap, in exact local
-``(time, seq)`` order, up to (but excluding) the horizon.  Safety: a
-cross-shard `post` sent at time *t* arrives no earlier than ``t +
-lookahead_ms >= horizon``, i.e. always outside the current window, so
-no shard ever receives work in its past.  Cross-shard posts buffer in
-an outbox flushed at the window barrier, keeping sequence assignment
-identical whether shards run in-process or in forked workers.
+At one shard there are no windows: `run` and `step` are the global
+engine's, and every digest matches ``global``.  At any shard count
+``global`` is the oracle the windows are checked against.
 
 With ``workers > 1`` the shards are partitioned round-robin over
 forked OS processes (`multiprocessing`, fork start method).  The
@@ -29,127 +32,32 @@ parent coordinates windows over pipes: each round it sends every
 worker the horizon plus its inbox of routed posts, and receives the
 fired count, the new head times, and the outbox.  Workers harvest
 per-shard results (`Engine.bind_harvest`) before exiting — the only
-state that returns to the parent.  The window sequence, post routing
-order and per-shard sequence numbers are identical to the in-process
-loop, so same-seed digests are bit-identical across ``workers``
-settings (test-pinned).
+state that returns to the parent.  In-process runs and workers drain
+every window through the one `_drain` method, and the window sequence
+and post routing order are the in-process loop's, so same-seed digests
+are bit-identical across ``workers`` settings (test-pinned).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from heapq import heappop
+from typing import Any, Iterable, List, Optional, Tuple
 
-from repro.sim.backends import DEFAULT_LOOKAHEAD_MS
-from repro.sim.engine import (
-    Engine,
-    EngineError,
-    Event,
-    _run_bounds,
-    _skip_cancelled,
-)
+from repro.sim.engine import Engine, EngineError, _run_bounds, _skip_cancelled
 
 
-class ShardedSerialEngine(Engine):
-    """Per-shard heaps, one thread, exact global ``(time, seq)`` order.
-
-    Bit-identical to the ``global`` backend for every workload (the
-    registry marks it ``oracle=True``); used to validate the parallel
-    backend.  Scheduling is the base `Engine` surface: `_heap` always
-    points at the dispatching shard's heap, and `_shard_heap` routes
-    the shard-tagged calls.
-    """
-
-    def __init__(
-        self,
-        shards: int = 1,
-        lookahead_ms: Optional[float] = None,
-        profile: bool = False,
-    ) -> None:
-        if shards < 1:
-            raise EngineError(f"shard count must be >= 1, got {shards}")
-        super().__init__(profile=profile)
-        self.shards = shards
-        self._heaps = [[] for _ in range(shards)]
-        #: shard receiving untagged `schedule` calls: the shard whose
-        #: event is currently dispatching (0 outside dispatch), so
-        #: callback chains stay on their shard; `_heap` is its heap
-        self._cur = 0
-        self._heap = self._heaps[0]
-        self._lookahead_auto = lookahead_ms is None
-        self.lookahead_ms = (
-            DEFAULT_LOOKAHEAD_MS if lookahead_ms is None else lookahead_ms
-        )
-
-    def _shard_heap(self, shard: int) -> list:
-        self._check_shard(shard)
-        return self._heaps[shard]
-
-    # -- execution -----------------------------------------------------
-    def _min_shard(self) -> int:
-        """The shard whose head is the globally minimal live entry, or
-        -1 when every heap is empty."""
-        best = None
-        bi = -1
-        for i, h in enumerate(self._heaps):
-            _skip_cancelled(h)
-            if h and (best is None or h[0] < best):
-                best = h[0]
-                bi = i
-        return bi
-
-    def step(self) -> bool:
-        bi = self._min_shard()
-        if bi < 0:
-            return False
-        self._cur = bi
-        self._heap = self._heaps[bi]
-        return super().step()
-
-    def _run_fast(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        heaps = self._heaps
-        if len(heaps) == 1:
-            return super()._run_fast(until, max_events)
-        limit, stop = _run_bounds(until, max_events)
-        fired = 0
-        self._running = True
-        try:
-            while fired != stop:
-                bi = self._min_shard()
-                if bi < 0:
-                    break
-                h = heaps[bi]
-                t = h[0][0]
-                if t > limit:
-                    if self.now < limit:
-                        self.now = limit
-                    break
-                _t, _seq, fn, args, _ev = heapq.heappop(h)
-                self.now = t
-                self._cur = bi
-                self._heap = h
-                fired += 1
-                fn(*args)
-        finally:
-            self._running = False
-            self._events_fired += fired
-        return fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ShardedSerialEngine t={self.now:.6f} shards={self.shards} "
-            f"pending={self.pending}>"
-        )
+def _window_end(horizon: float, limit: float) -> float:
+    """The exclusive end of a window: the lookahead ``horizon``, or the
+    first float past the inclusive ``until`` bound ``limit``."""
+    return min(horizon, math.nextafter(limit, math.inf))
 
 
 class ShardedParallelEngine(Engine):
     """Per-shard heaps and clocks, conservative lookahead windows.
 
     Untagged `schedule` calls land on the shard whose event is
-    currently dispatching (shard 0 outside dispatch), so legacy
+    currently dispatching (shard 0 before the first run), so legacy
     workloads — which never tag shards — run entirely on shard 0 in
     exact global order and stay bit-identical to the ``global``
     backend.  Sharded workloads place work with ``schedule_on`` /
@@ -164,297 +72,183 @@ class ShardedParallelEngine(Engine):
         profile: bool = False,
         workers: Optional[int] = None,
     ) -> None:
-        if shards < 1:
-            raise EngineError(f"shard count must be >= 1, got {shards}")
+        super().__init__(shards, lookahead_ms, profile)
         if workers is not None and workers < 1:
             raise EngineError(f"worker count must be >= 1, got {workers}")
-        # per-shard clocks must exist before Engine.__init__ assigns
-        # self.now through the property setter below
-        self._nows: List[float] = [0.0] * shards
-        self._cur = 0
-        super().__init__(profile=profile)
-        self.shards = shards
-        self._heaps: List[list] = [[] for _ in range(shards)]
-        self._seqs: List[int] = [0] * shards
-        self._lookahead_auto = lookahead_ms is None
-        self.lookahead_ms = (
-            DEFAULT_LOOKAHEAD_MS if lookahead_ms is None else lookahead_ms
-        )
         self.workers = workers
+        self._heaps = [[] for _ in range(shards)]
+        #: the shard whose heap and clock are `_heap` and `now`
+        self._cur = 0
+        self._heap = self._heaps[0]
+        #: per-shard clocks; the current shard's slot is stale while
+        #: its clock lives in `now`
+        self._nows: List[float] = [0.0] * shards
         #: cross-shard posts buffered during a window, flushed at the
         #: barrier: (origin_shard, target_shard, time, key, args)
         self._outbox: List[Tuple[int, int, float, str, tuple]] = []
         #: harvest payloads returned by forked workers, by shard
         self._worker_payloads: Optional[dict] = None
 
-    # the "current" clock: reads/writes go to the dispatching shard's
-    # clock, which is what callbacks mean by "now"
-    @property
-    def now(self) -> float:
-        return self._nows[self._cur]
-
-    @now.setter
-    def now(self, value: float) -> None:
-        self._nows[self._cur] = value
+    def _switch(self, shard: int) -> None:
+        """Make ``shard`` current: park `now` in its slot and swap in
+        ``shard``'s heap and clock."""
+        self._nows[self._cur] = self.now
+        self._cur = shard
+        self._heap = self._heaps[shard]
+        self.now = self._nows[shard]
 
     # -- scheduling ----------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        if delay < 0:
-            raise EngineError(f"cannot schedule {delay} ms in the past")
-        si = self._cur
-        t = self._nows[si] + delay
-        seq = self._seqs[si]
-        self._seqs[si] = seq + 1
-        ev = Event(t, seq, fn, args)
-        heapq.heappush(self._heaps[si], (t, seq, fn, args, ev))
-        return ev
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        si = self._cur
-        if time < self._nows[si]:
-            raise EngineError(
-                f"cannot schedule at t={time} before current t={self._nows[si]}"
-            )
-        seq = self._seqs[si]
-        self._seqs[si] = seq + 1
-        ev = Event(time, seq, fn, args)
-        heapq.heappush(self._heaps[si], (time, seq, fn, args, ev))
-        return ev
-
-    def defer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        if delay < 0:
-            raise EngineError(f"cannot schedule {delay} ms in the past")
-        si = self._cur
-        seq = self._seqs[si]
-        self._seqs[si] = seq + 1
-        heapq.heappush(
-            self._heaps[si], (self._nows[si] + delay, seq, fn, args, None)
-        )
-
-    def _guard_cross_shard(self, shard: int) -> None:
-        if self._running and shard != self._cur:
+    def _shard(self, shard: int) -> Tuple[list, float]:
+        if shard == self._cur:
+            return self._heap, self.now
+        self._check_shard(shard)
+        if self._running:
             raise EngineError(
                 "cross-shard scheduling during a run must use post() "
                 "(lookahead-bounded); schedule_on/defer_on may only "
                 "target other shards before the run starts"
             )
-
-    def schedule_on(
-        self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> Event:
-        self._check_shard(shard)
-        self._guard_cross_shard(shard)
-        if delay < 0:
-            raise EngineError(f"cannot schedule {delay} ms in the past")
-        t = self._nows[shard] + delay
-        seq = self._seqs[shard]
-        self._seqs[shard] = seq + 1
-        ev = Event(t, seq, fn, args)
-        heapq.heappush(self._heaps[shard], (t, seq, fn, args, ev))
-        return ev
-
-    def defer_on(
-        self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
-    ) -> None:
-        self._check_shard(shard)
-        self._guard_cross_shard(shard)
-        if delay < 0:
-            raise EngineError(f"cannot schedule {delay} ms in the past")
-        seq = self._seqs[shard]
-        self._seqs[shard] = seq + 1
-        heapq.heappush(
-            self._heaps[shard],
-            (self._nows[shard] + delay, seq, fn, args, None),
-        )
+        return self._heaps[shard], self._nows[shard]
 
     def shard_now(self, shard: int) -> float:
         self._check_shard(shard)
-        return self._nows[shard]
+        return self.now if shard == self._cur else self._nows[shard]
 
     def post(self, shard: int, delay: float, key: str, *args: Any) -> None:
-        self._check_shard(shard)
-        if delay < self.lookahead_ms:
-            raise EngineError(
-                f"cross-shard post delay {delay} ms is below the "
-                f"lookahead bound {self.lookahead_ms} ms"
-            )
-        si = self._cur
-        t = self._nows[si] + delay
-        if self._running and shard != si:
-            # buffered to the window barrier so sequence assignment is
-            # identical in-process and across forked workers
-            self._outbox.append((si, shard, t, key, args))
+        if self._running and shard != self._cur and delay >= self.lookahead_ms:
+            self._check_shard(shard)
+            # buffered to the window barrier so push order is identical
+            # in-process and across forked workers
+            self._outbox.append((self._cur, shard, self.now + delay, key, args))
         else:
-            self._deliver_post(shard, t, key, args)
-
-    def _deliver_post(self, shard: int, t: float, key: str, args: tuple) -> None:
-        fn = self._receivers.get(shard)
-        if fn is None:
-            raise EngineError(f"no receiver bound on shard {shard}")
-        seq = self._seqs[shard]
-        self._seqs[shard] = seq + 1
-        heapq.heappush(self._heaps[shard], (t, seq, fn, (key, *args), None))
+            # a too-short delay lands here too: the base rejects it
+            super().post(shard, delay, key, *args)
 
     def _flush_outbox(self) -> None:
         out = self._outbox
         self._outbox = []
         for _origin, shard, t, key, args in out:
-            self._deliver_post(shard, t, key, args)
+            self._deliver(self._heaps[shard], shard, t, key, args)
 
     # -- execution -----------------------------------------------------
     def step(self) -> bool:
-        raise EngineError(
-            "sharded-parallel advances in lookahead windows; use run() "
-            "(or the sharded-serial oracle for single-step debugging)"
-        )
+        if self.shards > 1:
+            raise EngineError(
+                "sharded-parallel advances in lookahead windows; use run() "
+                "(or the global engine for single-step debugging)"
+            )
+        return super().step()
 
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> int:
-        if self.shards > 1 and self.lookahead_ms <= 0.0:
+        if self.shards == 1:
+            # one shard has no barriers: the global engine's loops
+            return super().run(until, max_events)
+        if self.lookahead_ms <= 0.0:
             raise EngineError(
                 "sharded-parallel with more than one shard needs a "
                 "positive lookahead_ms (no network model registered a "
                 "latency floor?)"
             )
-        if self.workers is not None and self.workers > 1 and self.shards > 1:
-            return self._run_forked(until, max_events)
-        if (
-            until is None
-            and max_events is None
-            and self.trace_hook is None
-            and self.profile is None
-        ):
-            return self._run_unbounded()
-        return self._run_general(until, max_events)
+        if self.workers is not None and self.workers > 1:
+            if max_events is not None:
+                raise EngineError(
+                    "max_events is not supported with forked workers"
+                )
+            if self.trace_hook is not None or self.profile is not None:
+                raise EngineError(
+                    "tracing/profiling are in-process features; run with "
+                    "workers=None"
+                )
+            import multiprocessing as multiproc
 
-    def _run_unbounded(self) -> int:
-        heaps = self._heaps
-        k = len(heaps)
-        nows = self._nows
-        pop = heapq.heappop
+            if "fork" in multiproc.get_all_start_methods():
+                return self._run_forked(multiproc.get_context("fork"), until)
+            # no fork on this platform: the in-process loop computes
+            # the identical window sequence (digest parity is pinned)
+        every = range(self.shards)
+        limit, stop = _run_bounds(until, max_events)
+        la = self.lookahead_ms
         fired = 0
-        self._running = True
-        try:
-            if k == 1:
-                # one shard has no barriers: exact global order
-                h = heaps[0]
-                self._cur = 0
-                while h:
-                    entry = pop(h)
-                    ev = entry[4]
-                    if ev is not None and ev.cancelled:
-                        continue
-                    nows[0] = entry[0]
-                    fired += 1
-                    entry[2](*entry[3])
-                return fired
-            la = self.lookahead_ms
-            while True:
-                if self._outbox:
-                    self._flush_outbox()
-                nxt = self._peek_time()
-                if nxt is None:
-                    break
-                horizon = nxt + la
-                for si in range(k):
-                    h = heaps[si]
-                    if not h or h[0][0] >= horizon:
-                        continue
-                    self._cur = si
-                    while h:
-                        head = h[0]
-                        t = head[0]
-                        if t >= horizon:
-                            break
-                        pop(h)
-                        ev = head[4]
-                        if ev is not None and ev.cancelled:
-                            continue
-                        nows[si] = t
-                        fired += 1
-                        head[2](*head[3])
-            return fired
-        finally:
-            self._running = False
-            self._events_fired += fired
-            if self._outbox:
-                self._flush_outbox()
-
-    def _run_general(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        heaps = self._heaps
-        k = len(heaps)
-        nows = self._nows
-        pop = heapq.heappop
-        la = self.lookahead_ms if k > 1 else math.inf
-        fired = 0
-        stop = False
-        self._running = True
-        try:
-            while not stop:
-                if self._outbox:
-                    self._flush_outbox()
-                nxt = self._peek_time()
-                if nxt is None:
-                    break
-                if until is not None and nxt > until:
-                    for i in range(k):
-                        if nows[i] < until:
-                            nows[i] = until
-                    break
-                horizon = nxt + la
-                for si in range(k):
-                    h = heaps[si]
-                    if not h or h[0][0] >= horizon:
-                        continue
-                    self._cur = si
-                    while h:
-                        head = h[0]
-                        t = head[0]
-                        if t >= horizon or (until is not None and t > until):
-                            break
-                        pop(h)
-                        ev = head[4]
-                        if ev is not None and ev.cancelled:
-                            continue
-                        fired += 1
-                        self._fire(head)
-                        if max_events is not None and fired >= max_events:
-                            stop = True
-                            break
-                    if stop:
-                        break
-        finally:
-            self._running = False
-            if self._outbox:
+        while fired != stop:
+            nxt = self._peek_time()
+            if nxt is None:
+                break
+            if nxt > limit:
+                self._advance_clocks(every, limit)
+                break
+            try:
+                fired += self._drain(
+                    every, _window_end(nxt + la, limit),
+                    stop - fired if stop >= 0 else -1,
+                )
+            finally:
+                # the window barrier: route this window's posts
                 self._flush_outbox()
         return fired
 
-    # -- forked workers ------------------------------------------------
-    def _run_forked(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        if max_events is not None:
-            raise EngineError("max_events is not supported with forked workers")
-        if self.trace_hook is not None or self.profile is not None:
-            raise EngineError(
-                "tracing/profiling are in-process features; run with "
-                "workers=None"
-            )
-        import multiprocessing as multiproc
+    def _drain(self, shards: Iterable[int], horizon: float,
+               budget: int = -1) -> int:
+        """Fire, shard by shard, the live entries of ``shards`` earlier
+        than ``horizon``, at most ``budget`` of them (-1: no cap), and
+        return how many fired.  The one window loop: bounded, unbounded
+        and traced in-process runs and the forked workers all drain
+        their windows here."""
+        heaps = self._heaps
+        pop = heappop
+        traced = self.trace_hook is not None or self.profile is not None
+        fired = 0
+        self._running = True
+        try:
+            for si in shards:
+                h = heaps[si]
+                if not h or h[0][0] >= horizon:
+                    continue
+                self._switch(si)
+                while h and fired != budget:
+                    entry = h[0]
+                    if entry[0] >= horizon:
+                        break
+                    pop(h)
+                    ev = entry[4]
+                    if ev is not None and ev.cancelled:
+                        continue
+                    # count first: an event counts even when its
+                    # callback raises (`_fire` counts its own)
+                    fired += 1
+                    if traced:
+                        self._fire(entry)
+                    else:
+                        self.now = entry[0]
+                        entry[2](*entry[3])
+                if fired == budget:
+                    break
+        finally:
+            self._running = False
+            if not traced:
+                self._events_fired += fired
+        return fired
 
-        if "fork" not in multiproc.get_all_start_methods():
-            # no fork on this platform: the in-process loop computes
-            # the identical window sequence (digest parity is pinned)
-            return self._run_general(until, None)
-        ctx = multiproc.get_context("fork")
+    def _advance_clocks(self, shards: Iterable[int], until: float) -> None:
+        """A live entry lies beyond ``until``: move the clocks of
+        ``shards`` that are short of it up to it, as `Engine.run`
+        does.  Clocks stay put when the heaps simply drain."""
+        nows = self._nows
+        nows[self._cur] = self.now
+        for si in shards:
+            if nows[si] < until:
+                nows[si] = until
+        self.now = nows[self._cur]
+
+    # -- forked workers ------------------------------------------------
+    def _run_forked(self, ctx, until: Optional[float]) -> int:
         k = self.shards
         w_count = min(self.workers, k)
         owner = [s % w_count for s in range(k)]
+        limit = math.inf if until is None else until
         conns = []
         procs = []
         try:
@@ -463,7 +257,7 @@ class ShardedParallelEngine(Engine):
                 owned = [s for s in range(k) if owner[s] == w]
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child_conn, self, owned, until),
+                    args=(child_conn, self, owned),
                     daemon=True,
                 )
                 proc.start()
@@ -479,6 +273,8 @@ class ShardedParallelEngine(Engine):
             fired_total = 0
             pending: List[Tuple[int, int, float, str, tuple]] = []
             la = self.lookahead_ms
+            # clocks advance to `until` only if a live entry lies beyond
+            advance_to = None
             while True:
                 nxt = None
                 for worker_heads in heads:
@@ -488,9 +284,12 @@ class ShardedParallelEngine(Engine):
                 for entry in pending:
                     if nxt is None or entry[2] < nxt:
                         nxt = entry[2]
-                if nxt is None or (until is not None and nxt > until):
+                if nxt is None:
                     break
-                horizon = nxt + la
+                if nxt > limit:
+                    advance_to = until
+                    break
+                horizon = _window_end(nxt + la, limit)
                 # route pending posts: global order is (origin shard,
                 # send order) — identical to the in-process flush
                 pending.sort(key=lambda entry: entry[0])
@@ -510,7 +309,7 @@ class ShardedParallelEngine(Engine):
                     pending.extend(out)
             payloads: dict = {}
             for w, conn in enumerate(conns):
-                conn.send(("fin",))
+                conn.send(("fin", advance_to))
                 msg = conn.recv()
                 if msg[0] != "res":
                     raise EngineError(f"worker {w} failed at harvest: {msg[1]}")
@@ -519,10 +318,12 @@ class ShardedParallelEngine(Engine):
                     payloads[shard] = payload
                 for shard, t in worker_nows:
                     self._nows[shard] = t
+            self.now = self._nows[self._cur]
             self._worker_payloads = payloads
             # the parent's heaps are stale copies of work the workers
             # consumed; drop them so the engine reads as quiescent
             self._heaps = [[] for _ in range(k)]
+            self._heap = self._heaps[self._cur]
             self._events_fired += fired_total
             return fired_total
         finally:
@@ -548,8 +349,7 @@ class ShardedParallelEngine(Engine):
         )
 
 
-def _worker_main(conn, engine: ShardedParallelEngine, owned: List[int],
-                 until: Optional[float]) -> None:
+def _worker_main(conn, engine: ShardedParallelEngine, owned: List[int]) -> None:
     """A forked shard worker: drain owned shards window by window.
 
     Runs in the child process on a fork-inherited copy of the engine
@@ -558,8 +358,6 @@ def _worker_main(conn, engine: ShardedParallelEngine, owned: List[int],
     """
     try:
         heaps = engine._heaps
-        nows = engine._nows
-        pop = heapq.heappop
 
         def _heads() -> List[float]:
             out = []
@@ -574,43 +372,22 @@ def _worker_main(conn, engine: ShardedParallelEngine, owned: List[int],
         while True:
             msg = conn.recv()
             if msg[0] == "fin":
-                if until is not None:
-                    for si in owned:
-                        if nows[si] < until:
-                            nows[si] = until
-                payloads = []
-                for si in sorted(engine._harvest):
-                    if si in owned:
-                        payloads.append((si, engine._harvest[si]()))
+                if msg[1] is not None:
+                    engine._advance_clocks(owned, msg[1])
+                payloads = [
+                    (si, engine._harvest[si]())
+                    for si in sorted(engine._harvest)
+                    if si in owned
+                ]
                 conn.send(
-                    ("res", payloads, [(si, nows[si]) for si in owned])
+                    ("res", payloads,
+                     [(si, engine.shard_now(si)) for si in owned])
                 )
                 return
             _tag, horizon, inbox = msg
             for shard, t, key, args in inbox:
-                engine._deliver_post(shard, t, key, args)
-            fired = 0
-            engine._running = True
-            try:
-                for si in owned:
-                    h = heaps[si]
-                    if not h or h[0][0] >= horizon:
-                        continue
-                    engine._cur = si
-                    while h:
-                        head = h[0]
-                        t = head[0]
-                        if t >= horizon or (until is not None and t > until):
-                            break
-                        pop(h)
-                        ev = head[4]
-                        if ev is not None and ev.cancelled:
-                            continue
-                        nows[si] = t
-                        fired += 1
-                        head[2](*head[3])
-            finally:
-                engine._running = False
+                engine._deliver(heaps[shard], shard, t, key, args)
+            fired = engine._drain(owned, horizon)
             out = engine._outbox
             engine._outbox = []
             conn.send(("ok", fired, _heads(), out))

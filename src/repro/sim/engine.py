@@ -24,6 +24,8 @@ from heapq import heappop, heappush
 from time import perf_counter  # repro: allow[DET001]
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.sim.backends import DEFAULT_LOOKAHEAD_MS
+
 
 class EngineError(RuntimeError):
     """Raised for misuse of the engine (e.g. scheduling in the past)."""
@@ -152,28 +154,40 @@ class Engine:
     Construction note: layers above ``repro.sim`` obtain engines through
     the `repro.sim.backends` registry (``make_engine``), never by
     calling ``Engine(...)`` directly — the SIM002 lint rule enforces
-    this so every workload can run on the sharded backends unchanged.
+    this so every workload can run on the parallel backend unchanged.
     """
 
-    #: shard count — the global engine is always a single shard; the
-    #: sharded backends (`repro.sim.backends`) override this
-    shards: int = 1
-    #: conservative-synchronization lookahead (ms); adopted from the
-    #: interconnect's latency floor (`note_link_floor`) unless set
-    #: explicitly via the backend registry
-    lookahead_ms: float = 0.0
     #: smallest guaranteed per-link transit time any network model has
     #: registered; 0.0 until a model reports one
     link_floor_ms: float = 0.0
-    #: whether `lookahead_ms` tracks `link_floor_ms` automatically
-    _lookahead_auto: bool = True
 
-    def __init__(self, profile: bool = False) -> None:
+    def __init__(
+        self,
+        shards: int = 1,
+        lookahead_ms: Optional[float] = None,
+        profile: bool = False,
+    ) -> None:
+        if shards < 1:
+            raise EngineError(f"shard count must be >= 1, got {shards}")
+        #: logical shard count; on this engine every shard shares the
+        #: one heap, so shard-tagged calls run in exact global
+        #: ``(time, seq)`` order — the reference semantics the parallel
+        #: backend is digest-checked against
+        self.shards = shards
+        #: conservative-synchronization lookahead (ms).  ``None`` means
+        #: auto: start from `DEFAULT_LOOKAHEAD_MS` and adopt the
+        #: interconnect's latency floor (`note_link_floor`); the same
+        #: default on every backend, so a `post` that passes here
+        #: cannot fail there
+        self._lookahead_auto = lookahead_ms is None
+        self.lookahead_ms: float = (
+            DEFAULT_LOOKAHEAD_MS if lookahead_ms is None else lookahead_ms
+        )
         self.now: float = 0.0
         #: the heap untagged `schedule`/`defer` calls push onto
         self._heap: list = []
         #: every heap the engine drains: here just `_heap`; one per
-        #: shard on the sharded backends
+        #: shard on the parallel backend
         self._heaps: List[list] = [self._heap]
         self._seq: int = 0
         self._events_fired: int = 0
@@ -248,10 +262,11 @@ class Engine:
     # ------------------------------------------------------------------
     # shard-tagged scheduling
     #
-    # The global engine is a single shard, so these are degenerate
-    # forms of the API the sharded backends (`repro.sim.backends`)
-    # implement with real per-shard queues.  Workloads written against
-    # this surface run bit-identically on every registered backend.
+    # Every shard shares the one heap and clock here, so these are
+    # degenerate forms of the API the parallel backend
+    # (`repro.sim.backends.sharded`) serves from real per-shard queues
+    # by overriding `_shard` alone.  Workloads written against this
+    # surface run bit-identically on every registered backend.
     # ------------------------------------------------------------------
     def _check_shard(self, shard: int) -> None:
         if not 0 <= shard < self.shards:
@@ -259,28 +274,30 @@ class Engine:
                 f"shard {shard} out of range for {self.shards}-shard engine"
             )
 
-    def _shard_heap(self, shard: int) -> list:
-        """The heap holding ``shard``'s events (here: the only heap)."""
+    def _shard(self, shard: int) -> Tuple[list, float]:
+        """``(heap, clock)`` of ``shard`` — the one hook every
+        shard-tagged call resolves its target through (here: the only
+        heap and `now`)."""
         self._check_shard(shard)
-        return self._heap
+        return self._heap, self.now
 
     def schedule_on(
         self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
     ) -> Event:
         """`schedule` onto an explicit shard's queue."""
-        heap = self._shard_heap(shard)
+        heap, now = self._shard(shard)
         if delay < 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
-        return self._push(heap, self.now + delay, fn, args, True)
+        return self._push(heap, now + delay, fn, args, True)
 
     def defer_on(
         self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
     ) -> None:
         """`defer` onto an explicit shard's queue."""
-        heap = self._shard_heap(shard)
+        heap, now = self._shard(shard)
         if delay < 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
-        self._push(heap, self.now + delay, fn, args, False)
+        self._push(heap, now + delay, fn, args, False)
 
     def shard_now(self, shard: int) -> float:
         """The shard-local clock — on the global engine, `now`."""
@@ -298,21 +315,31 @@ class Engine:
         """Deliver a cross-shard message: ``receiver(key, *args)`` on
         ``shard``, ``delay`` ms from now.
 
-        ``delay`` must be at least `lookahead_ms` — on the sharded
-        backends that bound is what makes conservative windows safe;
+        ``delay`` must be at least `lookahead_ms` — on the parallel
+        backend that bound is what makes conservative windows safe;
         the global engine enforces the same contract so a workload
-        cannot pass here and fail there.
+        cannot pass here and fail there.  The bound is checked before
+        the target is resolved, so a too-short delay always reports
+        as such.
         """
-        heap = self._shard_heap(shard)
         if delay < self.lookahead_ms:
             raise EngineError(
                 f"cross-shard post delay {delay} ms is below the "
                 f"lookahead bound {self.lookahead_ms} ms"
             )
+        heap, _now = self._shard(shard)
+        self._deliver(heap, shard, self.now + delay, key, args)
+
+    def _deliver(
+        self, heap: list, shard: int, t: float, key: str, args: tuple
+    ) -> None:
+        """Push a posted message for ``shard``'s receiver onto ``heap``."""
         fn = self._receivers.get(shard)
         if fn is None:
             raise EngineError(f"no receiver bound on shard {shard}")
-        self._push(heap, self.now + delay, fn, (key, *args), False)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(heap, (t, seq, fn, (key, *args), None))
 
     def note_link_floor(self, floor_ms: float) -> None:
         """A `repro.sim.network` model reports its guaranteed minimum
@@ -431,9 +458,9 @@ class Engine:
         self, until: Optional[float], max_events: Optional[int]
     ) -> int:
         """The reference loop, one `step` at a time.  Taken only with a
-        ``trace_hook`` or ``profile`` installed, which `step` serves;
-        backends with their own queue layout inherit it through their
-        `_peek_time`/`step`."""
+        ``trace_hook`` or ``profile`` installed, which `step` serves.
+        The parallel backend runs it too at one shard; at more shards
+        its window loop dispatches traced events through `_fire`."""
         fired = 0
         self._running = True
         try:

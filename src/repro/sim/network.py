@@ -24,7 +24,7 @@ costs on top (see `repro.analysis.costmodel`).
 Each model also exposes `min_latency_ms`, a guaranteed lower bound on
 any frame's transit time (the zero-byte, zero-backoff case).  Models
 report it to the engine (`Engine.note_link_floor`), where it becomes
-the conservative-synchronization lookahead for the sharded backends
+the conservative-synchronization lookahead for the parallel backend
 (`repro.sim.backends`): no message can cross shards faster than that
 bound, so event windows of that width are safe.
 """

@@ -2,7 +2,7 @@
 `repro.sim.backends` registry.  Only parsed by the lint pass.
 
 A direct construction pins the caller to one engine implementation,
-so the workload silently cannot run on the sharded backends.
+so the workload silently cannot run on the parallel backend.
 """
 
 from repro.sim.engine import Engine
@@ -23,4 +23,4 @@ def fine():
     from repro.sim.backends import make_engine
 
     # the registry is the sanctioned constructor: not a violation
-    return make_engine("sharded-serial", shards=4)
+    return make_engine("sharded-parallel", shards=4)

@@ -45,17 +45,19 @@ def test_bench_unknown_only_name_exits_nonzero(capsys):
 def test_bench_pinned_sim_backend_restricts_the_sweep(tmp_path):
     out = tmp_path / "BENCH_backend.json"
     assert main(["bench", "--quick", "--only", "E16",
-                 "--sim-backend", "sharded-serial",
+                 "--sim-backend", "sharded-parallel",
                  "--out", str(out)]) == 0
     e16 = json.loads(out.read_text())["benches"]["E16"]
-    assert e16["scale_serial_s1_events_per_sec"] > 0
-    assert e16["scale_serial_s8_events_per_sec"] > 0
+    for shards in (1, 2, 4, 8):
+        assert e16[f"scale_parallel_s{shards}_events_per_sec"] > 0
     # backends that did not run stay null, so the schema never varies
     assert e16["scale_global_s1_events_per_sec"] is None
     assert e16["scale_parallel_s8_speedup"] is None
-    # only one backend ran: no cross-backend digest to compare, but the
-    # selected backend must still be repeat-stable
-    assert e16["scale_digest_match_s8"] is None
+    # only one backend ran: the 8-shard digest is compared only with the
+    # forked run (skipped on 1-CPU hosts), and the selected backend must
+    # still be repeat-stable
+    forked = e16["scale_parallel_s8_w2_events_per_sec"]
+    assert e16["scale_digest_match_s8"] == (None if forked is None else 1.0)
     assert e16["scale_repeat_stable_s8"] == 1.0
 
 

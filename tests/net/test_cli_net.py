@@ -9,7 +9,7 @@ from repro.net.supervisor import NodeSupervisor, SpawnFailed
 
 def test_sim_backend_with_real_backend_rejected(capsys):
     assert main(["flight", "--demo", "--kernel", "real-asyncio",
-                 "--sim-backend", "sharded-serial"]) == 2
+                 "--sim-backend", "sharded-parallel"]) == 2
     err = capsys.readouterr().err
     assert "--sim-backend" in err and "real-asyncio" in err
     assert "real OS" in err
@@ -17,7 +17,7 @@ def test_sim_backend_with_real_backend_rejected(capsys):
 
 def test_top_rejects_the_same_combination(capsys):
     assert main(["top", "--kernel", "real-asyncio",
-                 "--sim-backend", "sharded-serial", "--quick"]) == 2
+                 "--sim-backend", "sharded-parallel", "--quick"]) == 2
     assert "--sim-backend" in capsys.readouterr().err
 
 

@@ -119,8 +119,9 @@ def test_every_op_completes_once_or_raises_typed(seed, drop, dup, delay,
 @settings(max_examples=10, deadline=None)
 def test_same_seed_same_outcome(seed):
     """The whole faulted conversation is a pure function of the seed —
-    and of the seed only: executing it on the sharded-serial engine
-    (`repro.sim.backends`) instead of the global heap changes nothing."""
+    and of the seed only: executing it on the sharded-parallel engine
+    (`repro.sim.backends`) at 4 shards instead of the global heap
+    changes nothing."""
 
     def run(sim_backend="global", shards=1):
         plan = FaultPlan().drop(0.3).duplicate(0.2).delay(10.0)
@@ -141,4 +142,4 @@ def test_same_seed_same_outcome(seed):
 
     reference = run()
     assert run() == reference
-    assert run(sim_backend="sharded-serial", shards=4) == reference
+    assert run(sim_backend="sharded-parallel", shards=4) == reference

@@ -304,7 +304,7 @@ def _drive(backend, shards, case, reference):
 
 
 @pytest.mark.parametrize("backend,shards", [
-    ("global", 1), ("sharded-serial", 1), ("sharded-serial", 3),
+    ("global", 1), ("global", 3), ("sharded-parallel", 1),
 ])
 @pytest.mark.parametrize("case", sorted(_BOUNDED_CASES))
 def test_fast_path_matches_general_loop_exactly(backend, shards, case):
@@ -321,7 +321,7 @@ def test_fast_path_matches_general_loop_exactly(backend, shards, case):
         assert fast[0][0] == ["first", "second", "third", "fourth", "fifth"]
 
 
-@pytest.mark.parametrize("backend", ["global", "sharded-serial"])
+@pytest.mark.parametrize("backend", ["global", "sharded-parallel"])
 def test_trace_hook_sees_events_for_handle_less_entries(backend):
     """`defer`/`defer_on`/`post` allocate no `Event`; the trace hook
     still receives one, built from the heap entry."""

@@ -20,7 +20,7 @@ from repro.core.recovery import TimerWheel
 from repro.sim.backends import make_engine, registered_sim_backends
 from repro.workloads.scale import ScaleResult, run_scale
 
-SHARDED = ("sharded-serial", "sharded-parallel")
+SHARDED = ("sharded-parallel",)
 BASE = dict(clients=64, requests=3, seed=11)
 
 
