@@ -11,9 +11,10 @@ table:
 
   - **overhead**: the identical echo-RPC conversation with
     observability off / head-sampled (1/16) / full, events/sec each;
-    sampled tracing must cost <10% versus off in its cleanest
-    interleaved window (full tracing's ~25% is the price the sampler
-    exists to avoid).
+    sampled tracing must cost <10% versus off, as the median of the
+    paired ratios of six interleaved repeats (full tracing's cost,
+    reported by the same estimator, is the price the sampler exists
+    to avoid).
   - **accuracy**: 100k seeded samples through the log-bucketed
     `StreamingHistogram`; p50..p99.9 within 1% of the exact sorted
     percentiles at O(buckets) memory.

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Optional, Set, TYPE_CHECKING
+from typing import Any, Deque, Dict, NamedTuple, Optional, Set, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.threads import LynxThread
@@ -37,9 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.causal import SpanContext
 
 
-@dataclass(frozen=True, slots=True)
-class EndRef:
-    """Global identity of one end of one link."""
+class EndRef(NamedTuple):
+    """Global identity of one end of one link.  A named tuple, so it is
+    built and hashed in C: kernels' tables key on it at every hop."""
 
     link: int
     side: int  # 0 or 1

@@ -365,11 +365,13 @@ def bench_e15(seed: int = 0, quick: bool = False) -> Dict[str, float]:
       *full* (every trace kept), reporting best-of-``repeats``
       events/sec each.  Sampled tracing must cost **<10%** versus off
       — otherwise always-on tracing at scale is a lie.  The gate uses
-      the *minimum* same-repeat wall ratio across interleaved repeats:
-      shared CI boxes show multi-second load bursts far larger than
-      the effect under test, and the cleanest window is the only
-      measurement they cannot contaminate (full tracing's true ~25%
-      cost still trips it in every window).
+      the *paired median*: each interleaved repeat runs every mode
+      about 100 ms apart and yields one wall ratio against off, and
+      the median of those ratios is the estimate.  Pairing cancels
+      slow drift in host speed; the median ignores a load burst in a
+      minority of repeats without leaning toward passing, as the
+      minimum ratio did.  ``full_overhead_frac`` uses the same
+      estimator and is reported, not gated.
     * **Histogram accuracy**: 100k seeded lognormal-ish samples into a
       `StreamingHistogram`; p50/p90/p99/p99.9 must each land within
       1% of the exact sorted-sample percentile while occupying
@@ -385,6 +387,7 @@ def bench_e15(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     """
     import gc
     import math
+    import statistics
 
     from repro.core.api import BYTES, Operation, Proc, make_cluster
     from repro.obs.hist import StreamingHistogram
@@ -473,21 +476,21 @@ def bench_e15(seed: int = 0, quick: bool = False) -> Dict[str, float]:
         kept / (kept + dropped) if (kept + dropped) else 0.0
     )
 
-    # the cleanest-window estimator: same-repeat runs sit ~100 ms apart,
-    # so each repeat yields one nearly-paired wall ratio; the minimum
-    # over repeats is the measurement least contaminated by load bursts
-    def min_overhead(mode: str) -> float:
-        return min(
+    # the paired-median estimator: same-repeat runs sit ~100 ms apart,
+    # so each repeat yields one nearly-paired wall ratio; the median is
+    # never below the minimum, so it never leans toward passing
+    def paired_overhead(mode: str) -> float:
+        return statistics.median(
             off_r / mode_r - 1.0 if mode_r else math.inf
             for off_r, mode_r in zip(rates["off"], rates[mode])
         )
 
-    out["sampled_overhead_frac"] = min_overhead("sampled")
-    out["full_overhead_frac"] = min_overhead("full")
+    out["sampled_overhead_frac"] = paired_overhead("sampled")
+    out["full_overhead_frac"] = paired_overhead("full")
     if not out["sampled_overhead_frac"] < 0.10:
         raise AssertionError(
-            f"E15: sampled tracing must cost <10% vs obs-off in its "
-            f"cleanest window; measured "
+            f"E15: sampled tracing must cost <10% vs obs-off (paired "
+            f"median over {repeats} repeats); measured "
             f"{out['sampled_overhead_frac'] * 100:.1f}% "
             f"(off best {out['obs_off_events_per_sec']:,.0f} vs sampled "
             f"best {out['obs_sampled_events_per_sec']:,.0f} events/s)"

@@ -47,9 +47,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceLog, span_payload
 
 #: every layer a span may be tagged with, in paint-priority order
 #: (later wins overlaps at equal tree depth)
@@ -63,10 +63,10 @@ _LAYER_PRIORITY = {name: i for i, name in enumerate(LAYERS)}
 GAP_LAYER = "runtime"
 
 
-@dataclass(frozen=True, slots=True)
-class SpanContext:
-    """The causal identity piggybacked on wire messages.  Slotted: one
-    rides on every `WireMessage` when tracing is on.
+class SpanContext(NamedTuple):
+    """The causal identity piggybacked on wire messages.  A named
+    tuple: one rides on every `WireMessage` when tracing is on, so it
+    is built and hashed in C.
 
     ``sampled`` is the head-based sampling decision, made once at
     `SpanTracker.new_trace` and inherited by every child, so a trace
@@ -143,18 +143,20 @@ class SpanTracker:
                 self.metrics.count(
                     "obs.spans_sampled" if sampled else "obs.spans_dropped"
                 )
-        return SpanContext(tid, self._alloc_span(), None, sampled)
+        span_id = self._next_span
+        self._next_span = span_id + 1
+        return SpanContext(tid, span_id, None, sampled)
 
     def child(self, parent: SpanContext) -> SpanContext:
-        return SpanContext(parent.trace_id, self._alloc_span(),
-                           parent.span_id, parent.sampled)
-
-    def _alloc_span(self) -> int:
-        s = self._next_span
-        self._next_span += 1
-        return s
+        span_id = self._next_span
+        self._next_span = span_id + 1
+        return SpanContext(parent.trace_id, span_id, parent.span_id,
+                           parent.sampled)
 
     # -- emission ------------------------------------------------------
+    # A span is recorded flat, in `repro.sim.trace.SPAN_FIELDS` order;
+    # its payload dict is built only when the log is read.  `emit` does
+    # `child`'s minting in line: it runs for every span of every RPC.
     def emit(
         self,
         parent: SpanContext,
@@ -166,9 +168,14 @@ class SpanTracker:
     ) -> SpanContext:
         """Mint a child of ``parent`` and emit it, completed, covering
         ``[t0, t1]``.  Returns the child context (rarely needed)."""
-        ctx = self.child(parent)
-        self._record(ctx, layer, name, host, t0, t1)
-        return ctx
+        trace_id, parent_id, _, sampled = parent
+        span_id = self._next_span
+        self._next_span = span_id + 1
+        if sampled:
+            self.trace.emit(host, "span", span=(
+                trace_id, span_id, parent_id, layer, name, host, t0, t1,
+            ))
+        return SpanContext(trace_id, span_id, parent_id, sampled)
 
     def emit_root(
         self,
@@ -179,29 +186,11 @@ class SpanTracker:
         t1: float,
     ) -> None:
         """Emit the root (``rpc`` layer) span of a finished trace."""
-        self._record(ctx, "rpc", name, host, t0, t1)
-
-    def _record(
-        self,
-        ctx: SpanContext,
-        layer: str,
-        name: str,
-        host: str,
-        t0: float,
-        t1: float,
-    ) -> None:
-        if not ctx.sampled:
-            return
-        self.trace.emit(host, "span", span={
-            "trace": ctx.trace_id,
-            "id": ctx.span_id,
-            "parent": ctx.parent_id,
-            "layer": layer,
-            "name": name,
-            "host": host,
-            "t0": t0,
-            "t1": t1,
-        })
+        trace_id, span_id, parent_id, sampled = ctx
+        if sampled:
+            self.trace.emit(host, "span", span=(
+                trace_id, span_id, parent_id, "rpc", name, host, t0, t1,
+            ))
 
 
 #: one attributed segment of a critical path
@@ -233,9 +222,9 @@ class CausalGraph:
     def from_trace(cls, log: TraceLog) -> "CausalGraph":
         """Build from a live or detached (`TraceLog.from_jsonl`) log."""
         return cls(
-            Span.from_payload(ev.span)
-            for ev in log.events
-            if ev.event == "span" and ev.span is not None
+            Span.from_payload(span_payload(span))
+            for _, _, event, _, span in log.records
+            if event == "span" and span is not None
         )
 
     # -- structure queries ---------------------------------------------

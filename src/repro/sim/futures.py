@@ -24,6 +24,10 @@ class FutureState(enum.Enum):
     FAILED = "failed"
 
 
+_PENDING = FutureState.PENDING
+_DONE = FutureState.DONE
+
+
 class InvalidFutureTransition(RuntimeError):
     """A future was resolved or failed more than once."""
 
@@ -49,7 +53,7 @@ class Future:
 
     # ------------------------------------------------------------------
     def is_settled(self) -> bool:
-        return self.state is not FutureState.PENDING
+        return self.state is not _PENDING
 
     def resolve(self, value: Any = None) -> None:
         """Settle successfully with ``value``."""
@@ -81,8 +85,13 @@ class Future:
         self.engine.defer(delay, self._safe_fail, error)
 
     def _safe_resolve(self, value: Any) -> None:
-        if self.state is FutureState.PENDING:
-            self.resolve(value)
+        # `resolve` in place: every `sleep` and kernel delay settles here
+        if self.state is _PENDING:
+            self.state = _DONE
+            self.value = value
+            callbacks, self._callbacks = self._callbacks, []
+            for fn in callbacks:
+                fn(self)
 
     def _safe_fail(self, error: BaseException) -> None:
         if self.state is FutureState.PENDING:
@@ -92,7 +101,7 @@ class Future:
     def add_done_callback(self, fn: Callable[["Future"], None]) -> None:
         """Register ``fn(self)`` to run when the future settles (or
         immediately if it already has)."""
-        if self.is_settled():
+        if self.state is not _PENDING:
             fn(self)
         else:
             self._callbacks.append(fn)
@@ -128,7 +137,7 @@ def gather(engine: Engine, futures: Sequence[Future], label: str = "gather") -> 
     def make_cb(index: int):
         def cb(f: Future) -> None:
             nonlocal remaining
-            if out.is_settled():
+            if out.state is not _PENDING:
                 return
             if f.state is FutureState.FAILED:
                 assert f.error is not None
@@ -153,7 +162,7 @@ def first_of(engine: Engine, futures: Sequence[Future], label: str = "first") ->
 
     def make_cb(index: int):
         def cb(f: Future) -> None:
-            if out.is_settled():
+            if out.state is not _PENDING:
                 return
             if f.state is FutureState.FAILED:
                 assert f.error is not None

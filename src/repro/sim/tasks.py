@@ -9,10 +9,10 @@ The yield protocol
 ------------------
 A task generator may yield:
 
-* a ``Future`` — the task suspends until the future settles; a resolved
-  future resumes the generator with its value, a failed one raises the
-  failure *inside* the generator (so simulated code can catch simulated
-  exceptions);
+* a ``Future`` (that class exactly: it has no subclasses) — the task
+  suspends until the future settles; a resolved future resumes the
+  generator with its value, a failed one raises the failure *inside*
+  the generator (so simulated code can catch simulated exceptions);
 * ``None`` — the task is rescheduled at the current instant, after other
   pending same-instant events (a cooperative yield).
 
@@ -33,6 +33,9 @@ from typing import Any, Generator, Optional
 
 from repro.sim.engine import Engine
 from repro.sim.futures import Future, FutureState
+
+_PENDING = FutureState.PENDING
+_DONE = FutureState.DONE
 
 
 class TaskKilled(BaseException):
@@ -62,13 +65,15 @@ class Task:
         self.done: Future = Future(engine, f"{name}.done")
         self._waiting_on: Optional[Future] = None
         self._kill_pending: Optional[TaskKilled] = None
+        #: bound once: the done-callback of every future the task awaits
+        self._settle = self._on_settle
         # start on the next tick so construction order does not matter
         engine.defer(0.0, self._step, None, None)
 
     # ------------------------------------------------------------------
     @property
     def finished(self) -> bool:
-        return self.done.is_settled()
+        return self.done.state is not _PENDING
 
     def kill(self, reason: str = "killed") -> None:
         """Deliver `TaskKilled` at the task's current (or next) yield
@@ -84,7 +89,7 @@ class Task:
 
     # ------------------------------------------------------------------
     def _step(self, value: Any, error: Optional[BaseException]) -> None:
-        if self.finished:
+        if self.done.state is not _PENDING:
             return
         if self._kill_pending is not None and error is None:
             error, self._kill_pending = self._kill_pending, None
@@ -106,8 +111,9 @@ class Task:
 
         if yielded is None:
             self.engine.defer(0.0, self._step, None, None)
-        elif isinstance(yielded, Future):
-            self._wait_on(yielded)
+        elif type(yielded) is Future:
+            self._waiting_on = yielded
+            yielded.add_done_callback(self._settle)
         else:
             err = TypeError(
                 f"task {self.name!r} yielded {type(yielded).__name__}; "
@@ -115,18 +121,13 @@ class Task:
             )
             self.engine.defer(0.0, self._step, None, err)
 
-    def _wait_on(self, fut: Future) -> None:
-        self._waiting_on = fut
-
-        def on_settle(f: Future) -> None:
-            if self._waiting_on is not f:
-                return  # task was killed or redirected meanwhile
-            if f.state is FutureState.DONE:
-                self.engine.defer(0.0, self._step, f.value, None)
-            else:
-                self.engine.defer(0.0, self._step, None, f.error)
-
-        fut.add_done_callback(on_settle)
+    def _on_settle(self, fut: Future) -> None:
+        if self._waiting_on is not fut:
+            return  # task was killed or redirected meanwhile
+        if fut.state is _DONE:
+            self.engine.defer(0.0, self._step, fut.value, None)
+        else:
+            self.engine.defer(0.0, self._step, None, fut.error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"

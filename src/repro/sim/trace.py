@@ -6,8 +6,14 @@ happen so any run can be rendered the same way — the E3 bench and the
 `examples/figure2.py` script regenerate figure 2 from a live run
 rather than from the model.
 
-Tracing is always on (appending a tuple is cheap at simulation scale)
-but bounded; the log keeps the most recent ``capacity`` events.
+Tracing is always on but bounded; the log keeps the most recent
+``capacity`` events.  Recording is cheap because a record stays flat:
+`TraceLog.emit` appends one plain tuple ``(time, actor, event, detail,
+span)`` to a bounded deque, and a causal span rides in it as a flat
+tuple in `SPAN_FIELDS` order.  `TraceEvent` objects and span payload
+dicts are built only when the log is read (`events`, `select`, `dump`,
+`sequence_chart`, `to_jsonl`), and for each attached sink at emit
+time, so a run nobody reads pays for no event object.
 
 For offline analysis the log exports to JSON Lines (`to_jsonl`) and
 reloads (`from_jsonl`) into a detached log that renders the same
@@ -20,10 +26,12 @@ documented in docs/OBSERVABILITY.md and versioned by
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from collections import abc, deque
+from dataclasses import dataclass
+from itertools import starmap
 from typing import (
-    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Union,
+    Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple, Union,
 )
 
 from repro.sim.engine import Engine
@@ -33,6 +41,22 @@ TRACE_SCHEMA_VERSION = 2
 #: schema versions `from_jsonl` still understands (v1 records are v2
 #: records without the optional ``span`` field)
 SUPPORTED_TRACE_SCHEMA_VERSIONS = (1, 2)
+
+#: the keys of a span payload, in the order a flat span tuple holds them
+#: (`repro.obs.causal.SpanTracker` records spans as such tuples)
+SPAN_FIELDS = ("trace", "id", "parent", "layer", "name", "host", "t0", "t1")
+
+#: one stored record: ``(time, actor, event, detail, span)``, where
+#: ``span`` is None, a flat tuple in `SPAN_FIELDS` order, or a dict
+Record = Tuple[float, str, str, Dict[str, object], object]
+
+
+def span_payload(span: object) -> Optional[Dict[str, object]]:
+    """The payload dict of a stored span.  A flat tuple becomes a dict
+    keyed by `SPAN_FIELDS`; a dict (or None) is returned as it is."""
+    if type(span) is tuple:
+        return dict(zip(SPAN_FIELDS, span))
+    return span  # type: ignore[return-value]
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,14 +104,53 @@ class TraceEvent:
 
     @classmethod
     def from_record(cls, rec: Dict[str, object]) -> "TraceEvent":
-        span = rec.get("span")
-        return cls(
-            time=float(rec["t"]),
-            actor=str(rec["actor"]),
-            event=str(rec["event"]),
-            detail=dict(rec.get("detail", {})),
-            span=dict(span) if span is not None else None,
-        )
+        return cls(*_parse(rec))
+
+
+def _parse(rec: Dict[str, object]) -> Record:
+    """The stored form of one exported event record."""
+    span = rec.get("span")
+    return (
+        float(rec["t"]),
+        str(rec["actor"]),
+        str(rec["event"]),
+        dict(rec.get("detail", {})),
+        dict(span) if span is not None else None,
+    )
+
+
+def _build(
+    time: float,
+    actor: str,
+    event: str,
+    detail: Dict[str, object],
+    span: object,
+) -> TraceEvent:
+    """The `TraceEvent` of one stored record."""
+    return TraceEvent(time, actor, event, detail, span_payload(span))
+
+
+class TraceEvents(abc.Sequence):
+    """A live, read-only view of a log's records as `TraceEvent`s.
+
+    Each event is built as it is read, so iterating costs one build per
+    record and taking the length builds nothing."""
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: Deque[Record]) -> None:
+        self._records = records
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return starmap(_build, self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_build(*rec) for rec in list(self._records)[index]]
+        return _build(*self._records[index])
 
 
 def trace_header(capacity: Optional[int] = None) -> Dict[str, object]:
@@ -111,7 +174,10 @@ class TraceLog:
     def __init__(self, engine: Optional[Engine], capacity: int = 100_000) -> None:
         self.engine = engine
         self.capacity = capacity
-        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
+        #: the stored records, oldest first (see `Record`)
+        self.records: Deque[Record] = deque(maxlen=capacity)
+        #: the same records as `TraceEvent`s, built as they are read
+        self.events = TraceEvents(self.records)
         self.enabled = True
         #: streaming subscribers, called with each TraceEvent as it is
         #: recorded (see `repro.obs.JsonlTraceWriter`)
@@ -121,16 +187,21 @@ class TraceLog:
         self,
         actor: str,
         event: str,
-        span: Optional[Dict[str, object]] = None,
+        span: object = None,
         **detail: object,
     ) -> None:
+        """Record one event.  ``span`` is None, a flat tuple in
+        `SPAN_FIELDS` order, or a payload dict.  Attached sinks get the
+        built `TraceEvent` now; the log keeps only the flat record."""
         if not self.enabled:
             return
-        if self.engine is None:
+        engine = self.engine
+        if engine is None:
             raise ValueError("cannot emit into a detached (replayed) TraceLog")
-        ev = TraceEvent(self.engine.now, actor, event, detail, span=span)
-        self.events.append(ev)
+        record = (engine.now, actor, event, detail, span)
+        self.records.append(record)
         if self._sinks:
+            ev = _build(*record)
             for sink in self._sinks:
                 sink(ev)
 
@@ -185,7 +256,7 @@ class TraceLog:
                         f"v{rec.get('version')!r}"
                     )
                 continue
-            log.events.append(TraceEvent.from_record(rec))
+            log.records.append(_parse(rec))
         return log
 
     # ------------------------------------------------------------------
@@ -198,18 +269,19 @@ class TraceLog:
         link: Optional[int] = None,
     ) -> List[TraceEvent]:
         out = []
-        for ev in self.events:
-            if actor is not None and ev.actor != actor:
+        for rec in self.records:
+            _, who, name, detail, _ = rec
+            if actor is not None and who != actor:
                 continue
-            if event is not None and ev.event != event:
+            if event is not None and name != event:
                 continue
-            if link is not None and ev.detail.get("link") != link:
+            if link is not None and detail.get("link") != link:
                 continue
-            out.append(ev)
+            out.append(_build(*rec))
         return out
 
     def dump(self, limit: int = 200) -> str:
-        events = list(self.events)[-limit:]
+        events = self.events[-limit:]
         if not events:
             return ""
         # columns grow with the data so long actor names or 6+ digit
@@ -249,14 +321,13 @@ class TraceLog:
 
         lines = ["".join(a.ljust(width) for a in actors),
                  "".join(lifelines())]
-        for ev in self.events:
-            if wanted is not None and ev.event not in wanted:
+        for _, src, name, detail, _ in self.records:
+            if wanted is not None and name not in wanted:
                 continue
-            if link is not None and ev.detail.get("link") != link:
+            if link is not None and detail.get("link") != link:
                 continue
-            src = ev.actor
-            dst = ev.detail.get("peer")
-            label = str(ev.detail.get("kind", ev.event))
+            dst = detail.get("peer")
+            label = str(detail.get("kind", name))
             row = lifelines()
             if src in cols and isinstance(dst, str) and dst in cols \
                     and cols[src] != cols[dst]:
